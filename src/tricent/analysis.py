@@ -19,7 +19,7 @@ import numpy as np
 
 from .centrality import fiedler_vector
 from .graph import Graph, TriangleSet, connected_components, remove_vertices
-from .report import CentralityReport, label_sort_key
+from .report import CentralityReport, competition_rank, label_positions, label_sort_key
 
 TRIANGLE_TIE_TOL = 1e-12
 
@@ -73,28 +73,19 @@ def _rank_triangles(
     scores: np.ndarray,
     tie_tol: float,
 ) -> TriangleRanking:
-    triples = [
-        tuple(
-            sorted((graph.labels[p], graph.labels[q], graph.labels[r]), key=label_sort_key)
+    """Rank triangles by descending score, ties by their label-sorted triples."""
+    pos = label_positions(graph.labels)
+    by_pos = np.empty(graph.n, dtype=object)
+    by_pos[pos] = graph.labels
+    corners = np.sort(pos[triangles.triangle_array], axis=1)
+    order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
+    entries = tuple(
+        RankedTriangle(tuple(triple), s, r)
+        for triple, s, r in zip(
+            by_pos[corners[order]].tolist(), scores[order].tolist(), rank.tolist()
         )
-        for p, q, r in triangles.triangles
-    ]
-    order = sorted(
-        range(len(triangles)),
-        key=lambda t: (-scores[t], [label_sort_key(lab) for lab in triples[t]]),
     )
-    entries: list[RankedTriangle] = []
-    position = 0
-    block_rank = 0
-    prev = None
-    for t in order:
-        position += 1
-        s = float(scores[t])
-        if prev is None or prev - s > tie_tol:
-            block_rank = position
-        entries.append(RankedTriangle(triples[t], s, block_rank))
-        prev = s
-    return TriangleRanking(index=index, params=dict(params), entries=tuple(entries))
+    return TriangleRanking(index=index, params=dict(params), entries=entries)
 
 
 def triangle_importance(
@@ -120,7 +111,7 @@ def triangle_importance(
     if len(triangles) == 0:
         warnings.warn("graph has no triangles; importance ranking is empty")
         return TriangleRanking("triangle-importance", params, ())
-    tri = np.asarray(triangles.triangles, dtype=np.intp)
+    tri = triangles.triangle_array
     sums = scores[tri[:, 0]] + scores[tri[:, 1]] + scores[tri[:, 2]]
     return _rank_triangles("triangle-importance", params, graph, triangles, sums, tie_tol)
 
@@ -142,7 +133,7 @@ def cycle_index_fiedler(
         warnings.warn("graph has no triangles; cycle-index ranking is empty")
         return TriangleRanking("cycle-index", {}, ())
     x = fiedler_vector(graph, tol=tol)
-    tri = np.asarray(triangles.triangles, dtype=np.intp)
+    tri = triangles.triangle_array
     p, q, r = x[tri[:, 0]], x[tri[:, 1]], x[tri[:, 2]]
     scores = (p - q) ** 2 + (p - r) ** 2 + (q - r) ** 2
     return _rank_triangles("cycle-index", {}, graph, triangles, scores, tie_tol)

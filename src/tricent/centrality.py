@@ -9,6 +9,7 @@ concurrently on the same graph.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from fractions import Fraction
@@ -52,6 +53,8 @@ def eigenvector_centrality(
     always converges. Collatz-Wielandt ratios bracket the eigenvalue and the
     loop stops when the bracket is narrower than tol.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not is_connected(graph):
         raise NotConnectedError("eigenvector centrality needs a connected graph")
     n = graph.n

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -61,9 +62,19 @@ def _json_num(x: float) -> float:
 
 def _tolerance(args) -> float:
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("TRICENT_TOL")
-    return float(env) if env else DEFAULT_TOL
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get("TRICENT_TOL")
+        if not env:
+            return DEFAULT_TOL
+        source = "TRICENT_TOL"
+        try:
+            tol = float(env)
+        except ValueError:
+            raise UsageError(f"{source} must be a number, got {env!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"{source} must be positive and finite, got {tol}")
+    return tol
 
 
 def _load(args) -> tuple[Graph, str]:

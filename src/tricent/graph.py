@@ -2,7 +2,8 @@
 
 Vertices carry arbitrary string labels externally and contiguous 0-based ids
 internally. Graph and TriangleSet instances are immutable once built, so they
-are safe to share across threads.
+are safe to share across threads; their cached int64 index arrays
+(Graph.edge_array, TriangleSet.triangle_array) are read-only.
 """
 
 from __future__ import annotations
@@ -11,8 +12,12 @@ import io
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, TextIO
+
+import numpy as np
 
 
 class EdgeListParseError(ValueError):
@@ -29,6 +34,14 @@ class GraphValidationError(ValueError):
 
 class DuplicateEdgeWarning(UserWarning):
     """Raised (as a warning) when dedupe drops repeated or self-loop lines."""
+
+
+def _readonly_index_array(rows: tuple[tuple[int, ...], ...], width: int) -> np.ndarray:
+    """rows as a read-only (len(rows), width) int64 array."""
+    arr = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(rows) * width)
+    arr = arr.reshape(len(rows), width)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +71,11 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """edges as a read-only (m, 2) int64 array, built on first use."""
+        return _readonly_index_array(self.edges, 2)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -231,6 +249,11 @@ class TriangleSet:
     def __len__(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def triangle_array(self) -> np.ndarray:
+        """triangles as a read-only (T, 3) int64 array, built on first use."""
+        return _readonly_index_array(self.triangles, 3)
+
     def count_per_vertex(self) -> list[int]:
         """T(i): number of triangles containing each vertex."""
         return [len(pairs) for pairs in self.incidence]
@@ -304,10 +327,14 @@ class DegreeTriangleStats:
     triangle_count: tuple[int, ...]
     neighbor_triangles: tuple[int, ...]
 
+    @cached_property
+    def _label_to_id(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def row(self, label: str) -> tuple[int, int, int]:
         try:
-            i = self.labels.index(label)
-        except ValueError:
+            i = self._label_to_id[label]
+        except KeyError:
             raise KeyError(f"no vertex labeled {label!r}") from None
         return (self.degree[i], self.triangle_count[i], self.neighbor_triangles[i])
 

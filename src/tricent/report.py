@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -16,6 +17,34 @@ def label_sort_key(label: str):
         return (0, int(label), label)
     except ValueError:
         return (1, 0, label)
+
+
+def label_positions(labels: Sequence[str]) -> np.ndarray:
+    """pos[i] = place of labels[i] in ascending label_sort_key order."""
+    order = sorted(range(len(labels)), key=lambda i: label_sort_key(labels[i]))
+    pos = np.empty(len(labels), dtype=np.intp)
+    pos[order] = np.arange(len(labels))
+    return pos
+
+
+def competition_rank(
+    scores: np.ndarray, tiebreak: Sequence[np.ndarray], tie_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order items by descending score, then by ascending tiebreak keys.
+
+    tiebreak lists integer key arrays, most significant first. Returns
+    (order, group, rank), aligned with order: consecutive scores within
+    tie_tol chain into one tie group (group counts groups from 0), and every
+    member of a group shares the competition rank of its first position, so
+    the next group skips the swallowed ranks ("1, 2, 2, 2, 5").
+    """
+    order = np.lexsort((*reversed(tiebreak), -scores))
+    ordered = scores[order]
+    new_group = np.ones(len(order), dtype=bool)
+    np.greater(ordered[:-1] - ordered[1:], tie_tol, out=new_group[1:])
+    group = np.cumsum(new_group) - 1
+    rank = np.flatnonzero(new_group)[group] + 1
+    return order, group, rank
 
 
 @dataclass(frozen=True)
@@ -48,10 +77,14 @@ class CentralityReport:
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _label_to_id(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def score_of(self, label: str) -> float:
         try:
-            return float(self.scores[self.labels.index(label)])
-        except ValueError:
+            return float(self.scores[self._label_to_id[label]])
+        except KeyError:
             raise KeyError(f"no vertex labeled {label!r} in this report") from None
 
     def scores_by_label(self) -> dict[str, float]:
@@ -82,24 +115,16 @@ def rank_scores(
     scores: np.ndarray,
     tie_tol: float = VERTEX_TIE_TOL,
 ) -> tuple[RankedVertex, ...]:
-    """Competition-rank scores descending with tie groups of width tie_tol."""
-    order = sorted(range(len(labels)), key=lambda i: (-scores[i], label_sort_key(labels[i])))
-    groups: list[list[int]] = []
-    prev_score = None
-    for i in order:
-        s = float(scores[i])
-        if prev_score is None or prev_score - s > tie_tol:
-            groups.append([])
-        groups[-1].append(i)
-        prev_score = s
-    ranked: list[RankedVertex] = []
-    position = 1
-    for gid, members in enumerate(groups):
-        members.sort(key=lambda i: label_sort_key(labels[i]))
-        for i in members:
-            ranked.append(RankedVertex(labels[i], float(scores[i]), position, gid))
-        position += len(members)
-    return tuple(ranked)
+    """Competition-rank scores descending; each tie group sorted by label."""
+    pos = label_positions(labels)
+    order, group, rank = competition_rank(scores, (pos,), tie_tol)
+    order = order[np.lexsort((pos[order], group))]
+    return tuple(
+        RankedVertex(labels[i], s, r, g)
+        for i, s, r, g in zip(
+            order.tolist(), scores[order].tolist(), rank.tolist(), group.tolist()
+        )
+    )
 
 
 def make_report(

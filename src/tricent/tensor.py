@@ -17,11 +17,17 @@ for alpha in (0, 1].
 The tensor is never materialized in the production path: the operator stores
 flattened (i, j, k, coefficient) contribution arrays in lexicographic (i, j, k)
 order and accumulates them strictly in that order, so apply() is bitwise equal
-to a naive triple-loop contraction of the dense tensor.
+to a naive triple-loop contraction of the dense tensor. The build stacks the
+2m edge entries (i, j, j) and the 6T triangle entries (i, j, k), (i, k, j),
+sorts them once on the int64 key (i*n + j)*n + k and decodes i, j, k from the
+sorted keys; edge entries are exactly those with j == k. Keys run up to
+n^3 - 1, so the operator accepts at most MAX_VERTICES = 2 097 151 vertices
+(n^3 < 2^63).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +39,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_SHIFT = 1.0
 MATERIALIZE_LIMIT = 64
+MAX_VERTICES = 2**21 - 1  # largest n with n^3 < 2^63, so int64 entry keys cannot wrap
 
 
 class AlphaDomainError(ValueError):
@@ -78,9 +85,14 @@ class AlphaTriangleOperator:
         allow_disconnected: bool = False,
     ):
         self.alpha = _check_alpha(alpha)
+        if graph.n > MAX_VERTICES:
+            raise ValueError(
+                f"graph has {graph.n} vertices; the operator's int64 entry keys "
+                f"support at most {MAX_VERTICES}"
+            )
         self.graph = graph
         self.triangles = triangles
-        self.n = graph.n
+        self.n = n = graph.n
         if not allow_disconnected:
             ncomp = len(connected_components(graph))
             if ncomp != 1:
@@ -90,29 +102,25 @@ class AlphaTriangleOperator:
                     "to bypass, or solve per component)"
                 )
 
-        edge_coeff = self.alpha
-        tri_coeff = (1.0 - self.alpha) * 0.5
-        rows: list[int] = []
-        cols_j: list[int] = []
-        cols_k: list[int] = []
-        coeffs: list[float] = []
-        for i in range(self.n):
-            entries: list[tuple[int, int, float]] = [
-                (j, j, edge_coeff) for j in graph.adjacency[i]
-            ]
-            for j, k in triangles.incidence[i]:
-                entries.append((j, k, tri_coeff))
-                entries.append((k, j, tri_coeff))
-            entries.sort(key=lambda e: (e[0], e[1]))
-            for j, k, c in entries:
-                rows.append(i)
-                cols_j.append(j)
-                cols_k.append(k)
-                coeffs.append(c)
-        self._rows = np.asarray(rows, dtype=np.intp)
-        self._cols_j = np.asarray(cols_j, dtype=np.intp)
-        self._cols_k = np.asarray(cols_k, dtype=np.intp)
-        self._coeffs = np.asarray(coeffs, dtype=float)
+        u, v = graph.edge_array.T
+        p, q, r = triangles.triangle_array.T
+        keys = np.concatenate([
+            (i * n + j) * n + k
+            for i, j, k in (
+                (u, v, v), (v, u, u),
+                (p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p),
+            )
+        ])
+        keys.sort()
+        # drop each temporary before the next one is allocated, to keep the peak low
+        ij, cols_k = np.divmod(keys, n)
+        del keys
+        rows, cols_j = np.divmod(ij, n)
+        del ij
+        self._rows = rows.astype(np.intp, copy=False)
+        self._cols_j = cols_j.astype(np.intp, copy=False)
+        self._cols_k = cols_k.astype(np.intp, copy=False)
+        self._coeffs = np.where(cols_j == cols_k, self.alpha, (1.0 - self.alpha) * 0.5)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(A x^2)_i, accumulated per component in ascending (j, k) order."""
@@ -219,8 +227,8 @@ def solve_spectral(
     budget runs out.
     """
     n = op.n
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if shift <= 0:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and kept away from the library code
 paths it checks: component counts by plain BFS, triangle counts by trace(A^3),
 betweenness by explicit shortest-path enumeration over exact rationals,
-subgraph centrality by a truncated Taylor series of exp(A).
+subgraph centrality by a truncated Taylor series of exp(A). The loop-based
+operator build and competition rankings at the end are the reference the
+vectorised library versions must match exactly.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from tricent import Graph
+from tricent import Graph, RankedTriangle, RankedVertex, TriangleRanking, TriangleSet
+from tricent.report import VERTEX_TIE_TOL, label_sort_key
 
 
 def adjacency_of(graph: Graph) -> np.ndarray:
@@ -159,3 +163,99 @@ def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict[str, str]]:
     pairs = [(mapping[graph.labels[u]], mapping[graph.labels[v]]) for u, v in graph.edges]
     rng.shuffle(pairs)
     return Graph.from_edge_labels(pairs), mapping
+
+
+# --- loop-based reference versions of the vectorised library paths ---------
+
+
+def operator_arrays_by_loops(
+    graph: Graph, triangles: TriangleSet, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols_j, cols_k, coeffs) of the alpha-triangle operator, row by row.
+
+    Per vertex i: one (j, j) entry per neighbor and the (j, k), (k, j) pair of
+    every triangle through i, sorted by (j, k); rows are emitted in order.
+    """
+    n = graph.n
+    edge_coeff = alpha
+    tri_coeff = (1.0 - alpha) * 0.5
+    rows: list[int] = []
+    cols_j: list[int] = []
+    cols_k: list[int] = []
+    coeffs: list[float] = []
+    for i in range(n):
+        entries: list[tuple[int, int, float]] = [
+            (j, j, edge_coeff) for j in graph.adjacency[i]
+        ]
+        for j, k in triangles.incidence[i]:
+            entries.append((j, k, tri_coeff))
+            entries.append((k, j, tri_coeff))
+        entries.sort(key=lambda e: (e[0], e[1]))
+        for j, k, c in entries:
+            rows.append(i)
+            cols_j.append(j)
+            cols_k.append(k)
+            coeffs.append(c)
+    return (
+        np.asarray(rows, dtype=np.intp),
+        np.asarray(cols_j, dtype=np.intp),
+        np.asarray(cols_k, dtype=np.intp),
+        np.asarray(coeffs, dtype=float),
+    )
+
+
+def rank_scores(
+    labels: Sequence[str],
+    scores: np.ndarray,
+    tie_tol: float = VERTEX_TIE_TOL,
+) -> tuple[RankedVertex, ...]:
+    """Competition-rank scores descending with tie groups of width tie_tol."""
+    order = sorted(range(len(labels)), key=lambda i: (-scores[i], label_sort_key(labels[i])))
+    groups: list[list[int]] = []
+    prev_score = None
+    for i in order:
+        s = float(scores[i])
+        if prev_score is None or prev_score - s > tie_tol:
+            groups.append([])
+        groups[-1].append(i)
+        prev_score = s
+    ranked: list[RankedVertex] = []
+    position = 1
+    for gid, members in enumerate(groups):
+        members.sort(key=lambda i: label_sort_key(labels[i]))
+        for i in members:
+            ranked.append(RankedVertex(labels[i], float(scores[i]), position, gid))
+        position += len(members)
+    return tuple(ranked)
+
+
+def rank_triangles(
+    index: str,
+    params: Mapping[str, object],
+    graph: Graph,
+    triangles: TriangleSet,
+    scores: np.ndarray,
+    tie_tol: float,
+) -> TriangleRanking:
+    triples = [
+        tuple(
+            sorted((graph.labels[p], graph.labels[q], graph.labels[r]), key=label_sort_key)
+        )
+        for p, q, r in triangles.triangles
+    ]
+    order = sorted(
+        range(len(triangles)),
+        key=lambda t: (-scores[t], [label_sort_key(lab) for lab in triples[t]]),
+    )
+    entries: list[RankedTriangle] = []
+    position = 0
+    block_rank = 0
+    prev = None
+    for t in order:
+        position += 1
+        s = float(scores[t])
+        if prev is None or prev - s > tie_tol:
+            block_rank = position
+        entries.append(RankedTriangle(triples[t], s, block_rank))
+        prev = s
+    return TriangleRanking(index=index, params=dict(params), entries=tuple(entries))

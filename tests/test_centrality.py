@@ -80,6 +80,11 @@ class TestEigenvectorCentrality:
         with pytest.raises(NotConnectedError):
             eigenvector_centrality(g)
 
+    def test_bad_tol_rejected(self, k3):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                eigenvector_centrality(k3, tol=tol)
+
 
 class TestTriangleCentrality:
     def test_g14_values_and_ratio(self, g14, g14_triangles):

@@ -178,6 +178,20 @@ class TestCentralityCommand:
         assert code == 4
         assert "no convergence" in err
 
+    def test_bad_tol_is_usage_error(self, capsys, k3_file, monkeypatch):
+        # checked before any solve: nan would burn the whole iteration budget,
+        # inf would stop after one iteration with an unconverged vector
+        argv = ("centrality", "--input", str(k3_file), "--alpha", "0.5")
+        for flag in ("nan", "inf", "0", "-1e-10"):
+            code, out, err = run(capsys, *argv, f"--tol={flag}")
+            assert (code, out) == (2, "")
+            assert "--tol must be positive and finite" in err
+        for env in ("nan", "inf", "abc"):
+            monkeypatch.setenv("TRICENT_TOL", env)
+            code, out, err = run(capsys, "sweep", "--input", str(k3_file), "--alphas", "1,0.5")
+            assert (code, out) == (2, "")
+            assert "usage error: TRICENT_TOL must be" in err
+
 
 class TestSweepCommand:
     def test_wide_csv(self, capsys):

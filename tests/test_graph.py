@@ -216,6 +216,8 @@ class TestDegreeTriangleStats:
     def test_g14_vertex4(self, g14, g14_triangles):
         stats = degree_and_triangle_stats(g14, g14_triangles)
         assert stats.row("4") == (3, 0, 2)
+        with pytest.raises(KeyError, match="no vertex labeled '04'"):
+            stats.row("04")
 
     def test_karate_triangle_counts(self, karate):
         stats = degree_and_triangle_stats(karate, enumerate_triangles(karate))

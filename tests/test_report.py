@@ -40,6 +40,9 @@ def test_unit_euclidean_norm_invariant(karate):
 
 def test_unit_euclidean_conversion():
     rep = make_report("x", {}, ("a", "b"), np.array([3.0, 4.0]), "raw")
+    assert (rep.score_of("a"), rep.score_of("b")) == (3.0, 4.0)
+    with pytest.raises(KeyError, match="no vertex labeled 'c' in this report"):
+        rep.score_of("c")
     unit = rep.unit_euclidean()
     assert np.allclose(unit.scores, [0.6, 0.8])
     assert unit.normalization == "unit-euclidean"

@@ -161,8 +161,9 @@ class TestSolveSpectral:
         op = operator_for(k3, 0.5)
         with pytest.raises(ValueError, match="max_iter"):
             solve_spectral(op, max_iter=0)
-        with pytest.raises(ValueError, match="tol"):
-            solve_spectral(op, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                solve_spectral(op, tol=tol)
         with pytest.raises(ValueError, match="shift"):
             solve_spectral(op, shift=-1.0)
 
