@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,19 +51,25 @@ class TriangleRanking:
     def top(self, k: int) -> list[tuple[str, str, str]]:
         return [e.vertices for e in self.entries[:k]]
 
-    def score_of(self, vertices: Sequence[str]) -> float:
+    @cached_property
+    def _by_triple(self) -> dict[tuple[str, ...], RankedTriangle]:
+        # Filled back to front so the first entry of a repeated triple wins.
+        return {
+            tuple(sorted(e.vertices, key=label_sort_key)): e for e in reversed(self.entries)
+        }
+
+    def _entry(self, vertices: Sequence[str]) -> RankedTriangle:
         want = tuple(sorted(vertices, key=label_sort_key))
-        for e in self.entries:
-            if tuple(sorted(e.vertices, key=label_sort_key)) == want:
-                return e.score
-        raise KeyError(f"triangle {want} not in ranking")
+        try:
+            return self._by_triple[want]
+        except KeyError:
+            raise KeyError(f"triangle {want} not in ranking") from None
+
+    def score_of(self, vertices: Sequence[str]) -> float:
+        return self._entry(vertices).score
 
     def rank_of(self, vertices: Sequence[str]) -> int:
-        want = tuple(sorted(vertices, key=label_sort_key))
-        for e in self.entries:
-            if tuple(sorted(e.vertices, key=label_sort_key)) == want:
-                return e.rank
-        raise KeyError(f"triangle {want} not in ranking")
+        return self._entry(vertices).rank
 
 
 def _rank_triangles(
@@ -174,38 +181,59 @@ def removal_experiment(graph: Graph, remove: Sequence[str]) -> RemovalResult:
 RANK_TIE_TOL = 1e-9
 
 
-def _average_ranks(values: np.ndarray, tol: float) -> list[Fraction]:
-    """Ascending average ranks; values within tol (chained) share a rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    groups: list[list[int]] = []
-    prev = None
-    for i in order:
-        v = float(values[i])
-        if prev is None or v - prev > tol:
-            groups.append([])
-        groups[-1].append(i)
-        prev = v
-    ranks = [Fraction(0)] * len(values)
-    position = 1
-    for group in groups:
-        k = len(group)
-        shared = Fraction(2 * position + k - 1, 2)  # mean of position..position+k-1
-        for i in group:
-            ranks[i] = shared
-        position += k
+# Rows of a Kendall block hold at most this many pairwise differences, so each
+# float64 temporary stays within 512 KiB.
+_PAIR_BLOCK = 1 << 16
+
+# Longest vector spearman accepts: doubled ranks stay <= 2**31, so every rank
+# product fits in int64 and the chunked dot products below cannot wrap.
+_MAX_RANKED = 1 << 30
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _doubled_average_ranks(values: np.ndarray, tol: float) -> np.ndarray:
+    """Twice the ascending average ranks; values within tol (chained) share a rank.
+
+    A group of k values starting at 1-based position p has average rank
+    p + (k - 1)/2, so doubling keeps every rank an integer: 2p + k - 1.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_group = np.ones(len(values), dtype=bool)
+    np.greater(ordered[1:] - ordered[:-1], tol, out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=len(values))
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.repeat(2 * starts + sizes + 1, sizes)
     return ranks
 
 
-def _pearson_of_ranks(ra: Sequence[Fraction], rb: Sequence[Fraction]) -> float:
-    n = len(ra)
-    sa, sb = sum(ra), sum(rb)
-    num = n * sum(x * y for x, y in zip(ra, rb)) - sa * sb
-    da = n * sum(x * x for x in ra) - sa * sa
-    db = n * sum(y * y for y in rb) - sb * sb
+def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """sum(x * y) of nonnegative int64 vectors as a Python int, never wrapping."""
+    step = max(1, _INT64_MAX // (int(x.max()) * int(y.max())))
+    return sum(int(np.dot(x[s : s + step], y[s : s + step])) for s in range(0, len(x), step))
+
+
+def _spearman(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """Pearson correlation of the average ranks, in exact integer arithmetic.
+
+    The ranks are doubled, which scales num, da and db by 4: the Fraction
+    cancels it and the float quotient is unchanged by power-of-two scaling.
+    """
+    n = len(a)
+    if n > _MAX_RANKED:
+        raise ValueError(f"spearman takes at most {_MAX_RANKED} scores, got {n}")
+    ra = _doubled_average_ranks(a, tol)
+    rb = _doubled_average_ranks(b, tol)
+    sa, sb = int(ra.sum()), int(rb.sum())
+    num = n * _exact_dot(ra, rb) - sa * sb
+    da = n * _exact_dot(ra, ra) - sa * sa
+    db = n * _exact_dot(rb, rb) - sb * sb
     if da == 0 or db == 0:
         raise ValueError("correlation is undefined: all scores tie on one side")
     if da == db:
-        return float(num / da)  # exact rational, so perfect agreement is exactly +-1
+        return float(Fraction(num, da))  # exact rational, so perfect agreement is exactly +-1
     return float(num) / math.sqrt(float(da) * float(db))
 
 
@@ -223,31 +251,31 @@ def _pearson_of_scores(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _kendall_tau_b(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """Kendall tau-b; a pair ties on one side when its difference is within tol.
+
+    Row blocks of the full difference matrix d[i, j] = a[i] - a[j] are
+    scanned. Since a[j] - a[i] == -(a[i] - a[j]) exactly, every pair untied
+    on a shows up once with d > tol: counting those cells counts the pairs
+    untied on a, and splitting them by the sign of b's difference counts the
+    concordant and discordant pairs; a pair tied on either side is neither.
+    """
     n = len(a)
-    concordant = discordant = tied_a = tied_b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            xa = float(a[i]) - float(a[j])
-            xb = float(b[i]) - float(b[j])
-            sign_a = 0 if abs(xa) <= tol else (1 if xa > 0 else -1)
-            sign_b = 0 if abs(xb) <= tol else (1 if xb > 0 else -1)
-            if sign_a == 0:
-                tied_a += 1
-            if sign_b == 0:
-                tied_b += 1
-            if sign_a and sign_b:
-                if sign_a == sign_b:
-                    concordant += 1
-                else:
-                    discordant += 1
-    pairs = n * (n - 1) // 2
-    denom_a = pairs - tied_a
-    denom_b = pairs - tied_b
-    if denom_a == 0 or denom_b == 0:
+    rows = max(1, _PAIR_BLOCK // n)
+    concordant = discordant = untied_a = untied_b = 0
+    for s in range(0, n, rows):
+        da = a[s : s + rows, None] - a
+        db = b[s : s + rows, None] - b
+        up_a = da > tol
+        up_b = db > tol
+        untied_a += int(np.count_nonzero(up_a))
+        untied_b += int(np.count_nonzero(up_b))
+        concordant += int(np.count_nonzero(up_a & up_b))
+        discordant += int(np.count_nonzero(up_a & (db < -tol)))
+    if untied_a == 0 or untied_b == 0:
         raise ValueError("correlation is undefined: all scores tie on one side")
-    if denom_a == denom_b:
-        return float(Fraction(concordant - discordant, denom_a))
-    return (concordant - discordant) / math.sqrt(denom_a * denom_b)
+    if untied_a == untied_b:
+        return float(Fraction(concordant - discordant, untied_a))
+    return (concordant - discordant) / math.sqrt(untied_a * untied_b)
 
 
 def rank_correlation(
@@ -261,10 +289,18 @@ def rank_correlation(
 
     pearson correlates the raw scores; spearman and kendall correlate the
     rankings, tie-corrected (average ranks / tau-b) with ties detected up to
-    tie_tol. Rank arithmetic is exact, so two measures that induce the same
-    ranking correlate at exactly 1.0. Reports are aligned by label; a
-    constant vector has no defined correlation and raises.
+    tie_tol. The two detect ties differently, on purpose: spearman sorts the
+    scores and chains neighbours within tie_tol into one tie group, as vertex
+    rankings do, while kendall tests each pair on its own, so a pair ties
+    only when its two scores lie within tie_tol. Rank arithmetic is exact,
+    so two measures that induce the same ranking correlate at exactly 1.0,
+    and swapping a and b gives the same value. Reports are aligned by label.
+    A constant vector has no defined correlation and raises, as do NaN or
+    infinite scores, a negative or NaN tie_tol and, for spearman, more than
+    2**30 scores.
     """
+    if not tie_tol >= 0:
+        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")
     if isinstance(a, CentralityReport) and isinstance(b, CentralityReport):
         if set(a.labels) != set(b.labels):
             raise ValueError("reports cover different vertex sets")
@@ -276,12 +312,14 @@ def rank_correlation(
         xb = b.scores if isinstance(b, CentralityReport) else np.asarray(b, dtype=float)
         if xa.shape != xb.shape:
             raise ValueError("score vectors differ in length")
+    if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+        raise ValueError("correlation is undefined for NaN or infinite scores")
     if np.ptp(xa) == 0 or np.ptp(xb) == 0:
         raise ValueError("correlation is undefined for a constant score vector")
     if method == "pearson":
         return _pearson_of_scores(xa, xb)
     if method == "spearman":
-        return _pearson_of_ranks(_average_ranks(xa, tie_tol), _average_ranks(xb, tie_tol))
+        return _spearman(xa, xb, tie_tol)
     if method == "kendall":
         return _kendall_tau_b(xa, xb, tie_tol)
     raise ValueError(f"unknown method {method!r}; use pearson, spearman or kendall")

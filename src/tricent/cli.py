@@ -60,6 +60,13 @@ def _json_num(x: float) -> float:
     return float(_fmt(x))
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted per RFC 4180 when it needs quoting."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _tolerance(args) -> float:
     if args.tol is not None:
         tol, source = args.tol, "--tol"
@@ -111,7 +118,8 @@ def _multi_path(base: str, suffix: str) -> str:
 def _report_csv(report: CentralityReport) -> str:
     lines = ["label,score,rank,tie_group"]
     lines += [
-        f"{e.label},{_fmt(e.score)},{e.rank},{e.tie_group}" for e in report.ranking
+        f"{_csv_field(e.label)},{_fmt(e.score)},{e.rank},{e.tie_group}"
+        for e in report.ranking
     ]
     return "\n".join(lines) + "\n"
 
@@ -257,7 +265,7 @@ def cmd_sweep(args) -> int:
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     else:
         text = ",".join(header) + "\n"
-        text += "".join(",".join(str(c) for c in row) + "\n" for row in rows)
+        text += "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
         _write(text, args.output)
 
     if args.svg:
@@ -271,7 +279,7 @@ def cmd_sweep(args) -> int:
 def _ranking_csv(ranking) -> str:
     lines = ["v1,v2,v3,score,rank"]
     lines += [
-        f"{e.vertices[0]},{e.vertices[1]},{e.vertices[2]},{_fmt(e.score)},{e.rank}"
+        ",".join(map(_csv_field, e.vertices)) + f",{_fmt(e.score)},{e.rank}"
         for e in ranking.entries
     ]
     return "\n".join(lines) + "\n"
@@ -347,7 +355,7 @@ def cmd_connectivity(args) -> int:
             _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
         else:
             text = "removed,components_before,components_after,sizes_before,sizes_after\n"
-            text += ";".join(result.removed) + ","
+            text += _csv_field(";".join(result.removed)) + ","
             text += f"{result.components_before},{result.components_after},"
             text += ";".join(map(str, result.sizes_before)) + ","
             text += ";".join(map(str, result.sizes_after)) + "\n"
@@ -390,7 +398,8 @@ def cmd_stats(args) -> int:
     else:
         lines = ["label,degree,triangles,neighbor_triangles"]
         lines += [
-            f"{stats.labels[i]},{stats.degree[i]},{stats.triangle_count[i]},{stats.neighbor_triangles[i]}"
+            f"{_csv_field(stats.labels[i])},{stats.degree[i]},{stats.triangle_count[i]},"
+            f"{stats.neighbor_triangles[i]}"
             for i in order
         ]
         for key, s in summaries.items():
@@ -428,9 +437,10 @@ def cmd_compare(args) -> int:
         }
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     else:
-        lines = ["measure," + ",".join(names)]
-        for i, name in enumerate(names):
-            lines.append(name + "," + ",".join(_fmt(v) for v in matrix[i]))
+        cells = [_csv_field(name) for name in names]
+        lines = ["measure," + ",".join(cells)]
+        for i, cell in enumerate(cells):
+            lines.append(cell + "," + ",".join(_fmt(v) for v in matrix[i]))
         _write("\n".join(lines) + "\n", args.output)
 
     if args.svg:

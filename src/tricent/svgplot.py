@@ -21,6 +21,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _escape(text: str) -> str:
+    """text safe as SVG element content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -86,7 +91,7 @@ def sweep_plot(
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}">'
-            f"<title>{label}</title></polyline>"
+            f"<title>{_escape(label)}</title></polyline>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -121,7 +126,7 @@ def scatter_matrix(
             if row == col:
                 parts.append(
                     f'<text x="{x0 + (panel - 8) / 2:.0f}" y="{y0 + panel / 2:.0f}" '
-                    f'font-size="12" text-anchor="middle">{names[row]}</text>'
+                    f'font-size="12" text-anchor="middle">{_escape(names[row])}</text>'
                 )
                 continue
             vx, vy = vectors[col], vectors[row]
@@ -137,11 +142,11 @@ def scatter_matrix(
     for i, name in enumerate(names):
         parts.append(
             f'<text x="{margin + i * panel + (panel - 8) / 2:.0f}" y="{margin - 10}" '
-            f'font-size="12" text-anchor="middle">{name}</text>'
+            f'font-size="12" text-anchor="middle">{_escape(name)}</text>'
         )
         parts.append(
             f'<text x="{margin - 10}" y="{margin + i * panel + (panel - 8) / 2:.0f}" '
-            f'font-size="12" text-anchor="end">{name}</text>'
+            f'font-size="12" text-anchor="end">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

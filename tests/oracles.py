@@ -4,12 +4,13 @@ Everything here is deliberately naive and kept away from the library code
 paths it checks: component counts by plain BFS, triangle counts by trace(A^3),
 betweenness by explicit shortest-path enumeration over exact rationals,
 subgraph centrality by a truncated Taylor series of exp(A). The loop-based
-operator build and competition rankings at the end are the reference the
-vectorised library versions must match exactly.
+operator build, the competition rankings and the rank correlations at the
+end are the reference the vectorised library versions must match exactly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -259,3 +260,66 @@ def rank_triangles(
         entries.append(RankedTriangle(triples[t], s, block_rank))
         prev = s
     return TriangleRanking(index=index, params=dict(params), entries=tuple(entries))
+
+
+def average_ranks(values: np.ndarray, tol: float) -> list[Fraction]:
+    """Ascending average ranks; values within tol (chained) share a rank."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    groups: list[list[int]] = []
+    prev = None
+    for i in order:
+        v = float(values[i])
+        if prev is None or v - prev > tol:
+            groups.append([])
+        groups[-1].append(i)
+        prev = v
+    ranks = [Fraction(0)] * len(values)
+    position = 1
+    for group in groups:
+        k = len(group)
+        shared = Fraction(2 * position + k - 1, 2)  # mean of position..position+k-1
+        for i in group:
+            ranks[i] = shared
+        position += k
+    return ranks
+
+
+def pearson_of_ranks(ra: Sequence[Fraction], rb: Sequence[Fraction]) -> float:
+    n = len(ra)
+    sa, sb = sum(ra), sum(rb)
+    num = n * sum(x * y for x, y in zip(ra, rb)) - sa * sb
+    da = n * sum(x * x for x in ra) - sa * sa
+    db = n * sum(y * y for y in rb) - sb * sb
+    if da == 0 or db == 0:
+        raise ValueError("correlation is undefined: all scores tie on one side")
+    if da == db:
+        return float(num / da)  # exact rational, so perfect agreement is exactly +-1
+    return float(num) / math.sqrt(float(da) * float(db))
+
+
+def kendall_tau_b(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    n = len(a)
+    concordant = discordant = tied_a = tied_b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            xa = float(a[i]) - float(a[j])
+            xb = float(b[i]) - float(b[j])
+            sign_a = 0 if abs(xa) <= tol else (1 if xa > 0 else -1)
+            sign_b = 0 if abs(xb) <= tol else (1 if xb > 0 else -1)
+            if sign_a == 0:
+                tied_a += 1
+            if sign_b == 0:
+                tied_b += 1
+            if sign_a and sign_b:
+                if sign_a == sign_b:
+                    concordant += 1
+                else:
+                    discordant += 1
+    pairs = n * (n - 1) // 2
+    denom_a = pairs - tied_a
+    denom_b = pairs - tied_b
+    if denom_a == 0 or denom_b == 0:
+        raise ValueError("correlation is undefined: all scores tie on one side")
+    if denom_a == denom_b:
+        return float(Fraction(concordant - discordant, denom_a))
+    return (concordant - discordant) / math.sqrt(denom_a * denom_b)

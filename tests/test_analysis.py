@@ -109,6 +109,13 @@ class TestCycleIndexFiedler:
             assert ranking.rank_of(tri) == 2
         assert ranking.entries[4].rank == 5
         assert ranking.score_of(("149", "154", "352")) == pytest.approx(0.0040, abs=5e-5)
+        # lookups take the corners in any order; unknown triples name the sorted triple
+        assert ranking.rank_of(("433", "56", "123")) == 2
+        assert ranking.score_of(("217", "153", "56")) == ranking.entries[0].score
+        with pytest.raises(KeyError, match=r"triangle \('1', '56', '153'\) not in ranking"):
+            ranking.score_of(("153", "56", "1"))
+        with pytest.raises(KeyError, match=r"triangle \('1', '56', '153'\) not in ranking"):
+            ranking.rank_of(("153", "1", "56"))
 
     def test_empty_warns(self, p3):
         with pytest.warns(UserWarning, match="no triangles"):
@@ -185,6 +192,19 @@ class TestRankCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             rank_correlation(np.arange(4.0), np.arange(5.0))
+
+    @pytest.mark.parametrize("method", ("pearson", "spearman", "kendall"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_scores_rejected(self, method, bad):
+        scores = np.array([1.0, bad, 3.0, 2.0])
+        for a, b in ((scores, np.arange(4.0)), (np.arange(4.0), scores)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                rank_correlation(a, b, method)
+
+    @pytest.mark.parametrize("tie_tol", (math.nan, -1e-9))
+    def test_bad_tie_tol_rejected(self, tie_tol):
+        with pytest.raises(ValueError, match="tie_tol must be nonnegative"):
+            rank_correlation(np.arange(4.0), np.arange(4.0), "kendall", tie_tol=tie_tol)
 
 
 class TestTieRanking:

@@ -1,8 +1,15 @@
+import csv
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tricent
 from tricent import dataset_path
 from tricent.cli import main
 
@@ -396,6 +403,68 @@ class TestCompareCommand:
         )
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+
+class TestCsvQuoting:
+    """Labels holding a comma or a double quote come back intact through csv.reader."""
+
+    LABELS = {"a,b", 'q"r', "c"}
+
+    @pytest.fixture()
+    def odd_file(self, tmp_path):
+        path = tmp_path / "odd.edges"
+        path.write_text('a,b q"r\nq"r c\na,b c\nc d\n')
+        return path
+
+    def rows(self, text):
+        return [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
+
+    @pytest.mark.parametrize(
+        "argv, columns",
+        [
+            (["centrality", "--measure", "dc"], (0,)),
+            (["stats"], (0,)),
+            (["sweep", "--alphas", "1,0.5"], (0,)),
+            (["sweep", "--alphas", "1,0.5", "--top", "4"], (1, 2, 3, 4)),
+            (["triangles"], (0, 1, 2)),
+        ],
+    )
+    def test_labels_round_trip(self, capsys, odd_file, argv, columns):
+        code, out, _ = run(capsys, *argv, "--input", str(odd_file))
+        assert code == 0
+        header, *body = self.rows(out)
+        assert all(len(row) == len(header) for row in body)
+        seen = {row[c] for row in body for c in columns}
+        assert seen - {"d"} == self.LABELS
+
+    def test_connectivity_removed_field(self, capsys, odd_file, tmp_path):
+        out_path = tmp_path / "conn.csv"
+        code, _, _ = run(
+            capsys, "connectivity", "--input", str(odd_file), "--remove", 'q"r',
+            "--output", str(out_path),
+        )
+        assert code == 0
+        text = out_path.read_text()
+        header, row = self.rows(text)
+        assert len(row) == len(header) and row[0] == 'q"r'
+        assert text.splitlines()[1].startswith('"q""r",')
+
+    def test_plain_labels_stay_unquoted(self, capsys, k3_file):
+        code, out, _ = run(capsys, "stats", "--input", str(k3_file))
+        assert code == 0
+        assert '"' not in out
+
+
+def test_cli_import_skips_heavy_modules():
+    """The CLI starts fast: no csv, xml, urllib.request, scipy or hypothesis."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tricent.__file__).parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, tricent.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "tricent.cli" in loaded
+    heavy = {"csv", "_csv", "xml", "scipy", "hypothesis"}
+    assert [m for m in loaded if m.split(".")[0] in heavy or m == "urllib.request"] == []
 
 
 def test_version_flag(capsys):

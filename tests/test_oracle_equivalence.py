@@ -1,12 +1,14 @@
-"""The vectorised operator build and competition rankings against loop oracles.
+"""Vectorised operator build, rankings and rank correlations against loop oracles.
 
 Each library path must reproduce its loop-based reference exactly: the same
-operator index arrays, bitwise-equal coefficients, and equal ranking tuples.
+operator index arrays, bitwise-equal coefficients, equal ranking tuples and
+equal correlation floats.
 Graphs are seeded random graphs (triangle-free and single-edge ones included)
 over labels chosen to trip numeric label ordering: "01", "1" and "+1" all
 parse as the integer 1, "1_0" parses as 10.
 """
 
+import math
 import random
 import types
 
@@ -19,13 +21,22 @@ from tricent import (
     degree_centrality,
     enumerate_triangles,
     make_report,
+    rank_correlation,
     triangle_importance,
 )
-from tricent.analysis import TRIANGLE_TIE_TOL, _rank_triangles
+from tricent import analysis
+from tricent.analysis import RANK_TIE_TOL, TRIANGLE_TIE_TOL, _rank_triangles
 from tricent.report import VERTEX_TIE_TOL
 from tricent.tensor import MAX_VERTICES
 
-from oracles import operator_arrays_by_loops, rank_scores, rank_triangles
+from oracles import (
+    average_ranks,
+    kendall_tau_b,
+    operator_arrays_by_loops,
+    pearson_of_ranks,
+    rank_scores,
+    rank_triangles,
+)
 
 ADVERSARIAL_LABELS = ["01", "1", "+1", "1_0", "-3", "a", "B", "é"]
 ALPHAS = (1.0, 0.8, 0.6, 0.4, 0.2, 0.01)
@@ -188,3 +199,121 @@ def test_cached_index_arrays_are_read_only(g14, g14_triangles):
         edges[0, 0] = 5
     with pytest.raises(ValueError, match="read-only"):
         tris[0, 0] = 5
+
+
+# --- rank correlations ------------------------------------------------------
+
+METHODS = ("kendall", "spearman")
+
+
+def oracle_correlation(a, b, method, tie_tol=RANK_TIE_TOL):
+    if method == "kendall":
+        return kendall_tau_b(a, b, tie_tol)
+    return pearson_of_ranks(average_ranks(a, tie_tol), average_ranks(b, tie_tol))
+
+
+def correlation_or_error(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_correlation_matches_oracle(a, b, tie_tol=RANK_TIE_TOL):
+    """Library == oracle for both methods, error message included, and symmetric."""
+    for method in METHODS:
+        want = correlation_or_error(lambda: oracle_correlation(a, b, method, tie_tol))
+        got = correlation_or_error(lambda: rank_correlation(a, b, method, tie_tol=tie_tol))
+        assert got == want, (method, got, want)
+        swapped = correlation_or_error(lambda: rank_correlation(b, a, method, tie_tol=tie_tol))
+        assert swapped == got, (method, swapped, got)
+
+
+def correlation_cases() -> list[tuple[str, np.ndarray, np.ndarray, float]]:
+    """Seeded score pairs: exact ties, integers, chained near-ties, n = 2.
+
+    Integer scores with tie_tol 1 put pair differences exactly on the tie
+    boundary.
+    """
+    rng = random.Random(20251018)
+    cases = [
+        ("n2-agree", np.array([1.0, 2.0]), np.array([3.0, 5.0]), RANK_TIE_TOL),
+        ("n2-reverse", np.array([1.0, 2.0]), np.array([5.0, 3.0]), RANK_TIE_TOL),
+    ]
+    for k in range(6):
+        n = rng.randrange(3, 60)
+        few = lambda: np.array([float(rng.randrange(3)) for _ in range(n)])
+        wide = lambda: np.array([float(rng.randrange(50)) for _ in range(n)])
+        uniform = lambda: np.array([rng.random() for _ in range(n)])
+        cases += [
+            (f"exact-ties-{k}", few(), few(), RANK_TIE_TOL),
+            (f"integers-{k}", wide(), wide(), RANK_TIE_TOL),
+            (f"ties-vs-uniform-{k}", few(), uniform(), RANK_TIE_TOL),
+            (f"uniform-{k}", uniform(), uniform(), RANK_TIE_TOL),
+            (
+                f"chained-{k}",
+                chained_scores(rng, n, RANK_TIE_TOL),
+                chained_scores(rng, n, RANK_TIE_TOL),
+                RANK_TIE_TOL,
+            ),
+            (f"chained-wide-tol-{k}", chained_scores(rng, n, 1e-3), uniform(), 1e-3),
+            # differences of exactly tie_tol tie; with tie_tol 0 only equal scores do
+            (f"integers-tol-1-{k}", wide(), few(), 1.0),
+            (f"integers-tol-0-{k}", few(), wide(), 0.0),
+        ]
+    return cases
+
+
+CORRELATION_CASES = correlation_cases()
+
+
+@pytest.mark.parametrize(
+    "a, b, tie_tol", [c[1:] for c in CORRELATION_CASES], ids=[c[0] for c in CORRELATION_CASES]
+)
+def test_rank_correlation_matches_loop_oracles(a, b, tie_tol):
+    assert_correlation_matches_oracle(a, b, tie_tol)
+
+
+def test_degenerate_ties_raise_like_the_oracles():
+    tol = RANK_TIE_TOL
+    within = np.array([1.0, 1.0 + 0.5 * tol])  # not constant, but one tie
+    chain = np.array([1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol])  # chained, not pairwise
+    for a, b in ((within, np.array([1.0, 2.0])), (chain, np.array([1.0, 2.0, 3.0]))):
+        assert_correlation_matches_oracle(a, b)
+    with pytest.raises(ValueError, match="all scores tie on one side"):
+        rank_correlation(within, np.array([1.0, 2.0]), "kendall")
+    with pytest.raises(ValueError, match="all scores tie on one side"):
+        rank_correlation(chain, np.array([1.0, 2.0, 3.0]), "spearman")
+    # pairwise, the chain's two ends do not tie, so kendall is defined
+    assert rank_correlation(chain, np.array([1.0, 2.0, 3.0]), "kendall") == 1 / math.sqrt(3)
+
+
+@pytest.mark.parametrize("offset", (-1, 0, 1, 2))
+def test_kendall_at_the_block_boundary(offset):
+    """n around sqrt(_PAIR_BLOCK): one full block, then a short trailing block."""
+    n = math.isqrt(analysis._PAIR_BLOCK) + offset
+    rng = random.Random(n)
+    a = np.array([float(rng.randrange(n // 4)) for _ in range(n)])
+    b = chained_scores(rng, n, RANK_TIE_TOL)
+    assert_correlation_matches_oracle(a, b)
+
+
+@pytest.mark.parametrize("block", (1, 5, 64))
+def test_kendall_blocks_and_spearman_chunks_are_exact(monkeypatch, block):
+    """Tiny Kendall blocks and int64 bounds force many blocks and dot-product chunks."""
+    monkeypatch.setattr(analysis, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(analysis, "_INT64_MAX", 4 * block * block + 100)
+    rng = random.Random(block)
+    for _ in range(8):
+        n = rng.randrange(2, 40)
+        a = np.array([float(rng.randrange(6)) for _ in range(n)])
+        b = np.array([rng.random() for _ in range(n)])
+        assert_correlation_matches_oracle(a, b)
+
+
+def test_spearman_length_limit(monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_RANKED", 3)
+    a, b = np.arange(4.0), np.array([2.0, 1.0, 4.0, 3.0])
+    with pytest.raises(ValueError, match="at most 3 scores, got 4"):
+        rank_correlation(a, b, "spearman")
+    assert rank_correlation(a, b, "kendall") == oracle_correlation(a, b, "kendall")

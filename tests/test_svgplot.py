@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,21 @@ def test_scatter_matrix_structure():
 def test_scatter_matrix_length_check():
     with pytest.raises(ValueError, match="differ in length"):
         scatter_matrix(["a"], [np.zeros(3), np.zeros(3)])
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def test_sweep_plot_escapes_labels():
+    svg = sweep_plot([1.0, 0.5], ["a<&b", "c>d", "e"], np.array([[0.1, 0.2]] * 3))
+    titles = [t.text for t in ET.fromstring(svg).iter(f"{SVG}title")]
+    assert titles == ["a<&b", "c>d", "e"]
+    assert "<title>e</title>" in svg
+
+
+def test_scatter_matrix_escapes_names():
+    rng = np.random.default_rng(4)
+    svg = scatter_matrix(["a<&b", "dc"], [rng.random(5), rng.random(5)])
+    texts = [t.text for t in ET.fromstring(svg).iter(f"{SVG}text")]
+    assert texts.count("a<&b") == 3  # diagonal panel, column and row headings
+    assert texts.count("dc") == 3
