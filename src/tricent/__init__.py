@@ -61,8 +61,6 @@ from .tensor import (
     atec,
     atec_per_component,
     build_operator,
-    contract_tensor,
-    materialize_tensor,
     solve_spectral,
     verify_weak_irreducibility,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "betweenness_centrality",
     "build_operator",
     "connected_components",
-    "contract_tensor",
     "cycle_index_fiedler",
     "dataset_info",
     "dataset_names",
@@ -109,7 +106,6 @@ __all__ = [
     "load_dataset",
     "load_edge_list",
     "make_report",
-    "materialize_tensor",
     "rank_correlation",
     "remove_vertices",
     "removal_experiment",

@@ -3,22 +3,29 @@
 Degree (DC), eigenvector (EC), Burkhardt triangle (TC), Brandes betweenness
 (BC), Estrada subgraph (SC) centrality, and the Fiedler vector. DC, TC, BC
 and SC report raw values (call .unit_euclidean() for the normalized column);
-EC is inherently unit-Euclidean. All functions are pure and safe to run
-concurrently on the same graph.
+EC is inherently unit-Euclidean and comes from the shifted power kernel that
+also solves atec (tensor), at order 2. All functions are pure and safe to
+run concurrently on the same graph.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from .graph import Graph, TriangleSet, is_connected
 from .report import CentralityReport, make_report
-from .tensor import ConvergenceError, NotConnectedError
+from .tensor import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ConvergenceError,
+    NotConnectedError,
+    _shifted_power,
+)
 
 SC_SIZE_LIMIT = 5000
 
@@ -44,47 +51,33 @@ def degree_centrality(graph: Graph) -> CentralityReport:
 
 
 def eigenvector_centrality(
-    graph: Graph, tol: float = 1e-10, max_iter: int = 100_000
+    graph: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> CentralityReport:
     """Positive unit-Euclidean Perron vector of the adjacency matrix.
 
-    Power iteration on A + I: the +1 diagonal shift makes the matrix primitive
-    for every connected graph (bipartite graphs included), so the iteration
-    always converges. Collatz-Wielandt ratios bracket the eigenvalue and the
-    loop stops when the bracket is narrower than tol.
+    The shared shifted power iteration at order 2, on A + I: the +1 diagonal
+    shift makes the matrix primitive for every connected graph (bipartite
+    graphs included), so the iteration always converges. Collatz-Wielandt
+    ratios bracket the eigenvalue and the loop stops when the bracket is
+    narrower than tol; the report's meta carries the eigenvalue, iterations
+    and residual.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not is_connected(graph):
         raise NotConnectedError("eigenvector centrality needs a connected graph")
-    n = graph.n
     a = adjacency_matrix(graph)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lo = hi = np.nan
-    for iteration in range(1, max_iter + 1):
-        y = a @ x + x
-        ratios = y / x
-        lo = float(ratios.min()) - 1.0
-        hi = float(ratios.max()) - 1.0
-        if hi - lo < tol:
-            lam = 0.5 * (lo + hi)
-            return make_report(
-                "ec",
-                {},
-                graph.labels,
-                x,
-                "unit-euclidean",
-                meta={
-                    "eigenvalue": lam,
-                    "iterations": iteration,
-                    "residual": float(np.max(np.abs(a @ x - lam * x))),
-                },
-            )
-        x = y / np.linalg.norm(y)
-    raise ConvergenceError(
-        f"eigenvector centrality: no convergence after {max_iter} iterations",
-        bracket=(lo, hi),
-        iterations=max_iter,
+    matrix = SimpleNamespace(n=graph.n, apply=lambda x: a @ x)
+    result = _shifted_power(matrix, 2, tol=tol, max_iter=max_iter)
+    return make_report(
+        "ec",
+        {},
+        graph.labels,
+        result.x,
+        "unit-euclidean",
+        meta={
+            "eigenvalue": result.rho,
+            "iterations": result.iterations,
+            "residual": result.residual,
+        },
     )
 
 

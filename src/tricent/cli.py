@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -43,9 +44,11 @@ from .graph import (
 )
 from .report import CentralityReport, label_sort_key
 from .svgplot import scatter_matrix, sweep_plot
-from .tensor import AlphaDomainError, ConvergenceError, atec, atec_per_component
+from .tensor import DEFAULT_TOL, AlphaDomainError, ConvergenceError, atec, atec_per_component
 
-DEFAULT_TOL = 1e-10
+
+# one field of a comma list: RFC 4180 quoted if it starts with '"', else verbatim
+_LIST_FIELD = re.compile(r'\s*(?:"((?:[^"]|"")*)"|([^",\s][^,]*)?)\s*(?:,|\Z)')
 
 
 class UsageError(Exception):
@@ -65,6 +68,26 @@ def _csv_field(text: str) -> str:
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _label_list(text: str) -> list[str]:
+    """Labels of a comma list; "a,b" quotes a label holding a comma, "" a quote.
+
+    Reads back the quoting of _csv_field. An unquoted field is taken verbatim
+    up to the next comma, so q"r names the label q"r. Blank fields are skipped.
+    """
+    labels, pos = [], 0
+    while pos < len(text):
+        match = _LIST_FIELD.match(text, pos)
+        if match is None:
+            raise UsageError(f"unterminated or misplaced quote in {text[pos:]!r}")
+        quoted, plain = match.groups()
+        if quoted is not None:
+            labels.append(quoted.replace('""', '"'))
+        elif plain:
+            labels.append(plain.strip())
+        pos = match.end()
+    return labels
 
 
 def _tolerance(args) -> float:
@@ -337,7 +360,7 @@ def cmd_triangles(args) -> int:
 
 def cmd_connectivity(args) -> int:
     graph, digest = _load(args)
-    remove = [t.strip() for t in args.remove.split(",") if t.strip()]
+    remove = _label_list(args.remove)
     if not remove:
         raise UsageError("--remove needs at least one vertex label")
     result = removal_experiment(graph, remove)
@@ -490,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("connectivity", help="vertex-removal component counts")
     common(p)
-    p.add_argument("--remove", required=True, help="comma list of vertex labels to delete")
+    p.add_argument("--remove", required=True,
+                   help='comma list of vertex labels to delete; quote a label holding '
+                        'a comma as "a,b", with "" for a quote inside quotes')
     p.set_defaults(func=cmd_connectivity)
 
     p = sub.add_parser("stats", help="per-vertex degree/triangle statistics")

@@ -2,14 +2,20 @@
 
 Vertices carry arbitrary string labels externally and contiguous 0-based ids
 internally. Graph and TriangleSet instances are immutable once built, so they
-are safe to share across threads; their cached int64 index arrays
-(Graph.edge_array, TriangleSet.triangle_array) are read-only.
+are safe to share across threads; their int64 index arrays (Graph.edge_array,
+TriangleSet.triangle_array) are read-only.
+
+Every graph the library makes, from label pairs, from edge-list text, by
+vertex removal or as a connected component, comes from one array builder:
+the callers intern labels and validate their input, and the builder sorts
+the int64 arc keys once to produce edges, adjacency and edge_array.
 """
 
 from __future__ import annotations
 
 import io
 import warnings
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,7 +80,7 @@ class Graph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """edges as a read-only (m, 2) int64 array, built on first use."""
+        """edges as a read-only (m, 2) int64 array; the builder stores it."""
         return _readonly_index_array(self.edges, 2)
 
     def degree(self, i: int) -> int:
@@ -97,32 +103,53 @@ class Graph:
     @staticmethod
     def from_edge_labels(pairs: Iterable[tuple[str, str]]) -> "Graph":
         """Build a graph from (label, label) pairs, ids in first-appearance order."""
-        labels: list[str] = []
         index: dict[str, int] = {}
-
-        def intern(lab: str) -> int:
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-            return index[lab]
-
-        edge_set: set[tuple[int, int]] = set()
+        ends: list[int] = []
         for a, b in pairs:
-            u, v = intern(a), intern(b)
+            u, v = index.setdefault(a, len(index)), index.setdefault(b, len(index))
             if u == v:
                 raise GraphValidationError(f"self-loop at vertex {a!r}")
-            edge_set.add((min(u, v), max(u, v)))
-        if not labels:
+            ends += (u, v)
+        if not index:
             raise GraphValidationError("empty graph")
-        adj: list[list[int]] = [[] for _ in labels]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
-        return Graph(
-            labels=tuple(labels),
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-            edges=tuple(sorted(edge_set)),
-        )
+        u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        return _build_graph(tuple(index), u, v)
+
+
+def _build_graph(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray) -> Graph:
+    """The graph on labels with an edge {u[e], v[e]} per e; repeats merge.
+
+    u and v are int64 id arrays with u[e] != v[e]. One sort of the int64 arc
+    keys a*n + b, both orientations of every edge, gives the adjacency (arcs
+    grouped by a, neighbors b ascending) and the sorted edge list (the arcs
+    with a < b). Every Graph in the library is made here.
+    """
+    n = len(labels)
+    arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
+    # drop repeats by hand: np.unique would import numpy.ma into every CLI run
+    a, b = np.divmod(arcs[np.diff(arcs, prepend=-1) != 0], n)
+    starts = np.searchsorted(a, np.arange(n + 1)).tolist()
+    ids = np.arange(n).astype(object)  # one int object per vertex, shared by all tuples
+    neighbors = ids[b].tolist()
+    forward = a < b
+    edge_array = np.stack([a[forward], b[forward]], axis=1)
+    edge_array.setflags(write=False)
+    graph = Graph(
+        labels=labels,
+        adjacency=tuple(tuple(neighbors[s:e]) for s, e in zip(starts, starts[1:])),
+        edges=tuple(zip(ids[edge_array[:, 0]].tolist(), ids[edge_array[:, 1]].tolist())),
+    )
+    vars(graph)["edge_array"] = edge_array  # fill the cached property
+    return graph
+
+
+def _induced(graph: Graph, keep: np.ndarray) -> Graph:
+    """Subgraph induced by the ascending vertex ids keep, relabelled 0..len-1."""
+    new_id = np.full(graph.n, -1, dtype=np.int64)
+    new_id[keep] = np.arange(len(keep))
+    ends = new_id[graph.edge_array]
+    ends = ends[(ends >= 0).all(axis=1)]
+    return _build_graph(tuple(graph.labels[i] for i in keep.tolist()), ends[:, 0], ends[:, 1])
 
 
 def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Graph:
@@ -133,71 +160,64 @@ def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Grap
     0-based internal ids in first-appearance order.
 
     With dedupe=True, repeated edges and self-loop lines are skipped and
-    reported through a DuplicateEdgeWarning; otherwise both are errors.
+    reported through a DuplicateEdgeWarning; otherwise both are errors. Either
+    way the vertices of a skipped line keep their ids, and the earliest bad
+    line is the one reported.
     """
     if isinstance(source, (str, Path)):
         stream: TextIO = io.StringIO(Path(source).read_text())
     else:
         stream = source
 
-    labels: list[str] = []
     index: dict[str, int] = {}
-
-    def intern(lab: str) -> int:
-        if lab not in index:
-            index[lab] = len(labels)
-            labels.append(lab)
-        return index[lab]
-
-    edge_set: set[tuple[int, int]] = set()
-    duplicates = 0
-    self_loops = 0
+    ends: list[int] = []
+    linenos = array("q")  # no int object kept per line
+    parse_error = None
     for lineno, raw in enumerate(stream, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
         tokens = text.split()
         if len(tokens) != 2:
-            raise EdgeListParseError(
+            parse_error = EdgeListParseError(
                 f"expected two labels, got {len(tokens)}: {text!r}", lineno
             )
-        u, v = intern(tokens[0]), intern(tokens[1])
-        if u == v:
-            if dedupe:
-                self_loops += 1
-                continue
-            raise GraphValidationError(
-                f"line {lineno}: self-loop at vertex {tokens[0]!r}"
-            )
-        key = (min(u, v), max(u, v))
-        if key in edge_set:
-            if dedupe:
-                duplicates += 1
-                continue
-            raise GraphValidationError(
-                f"line {lineno}: duplicate edge {tokens[0]!r} -- {tokens[1]!r}"
-            )
-        edge_set.add(key)
+            break
+        ends += (index.setdefault(tokens[0], len(index)), index.setdefault(tokens[1], len(index)))
+        linenos.append(lineno)
 
+    labels = tuple(index)
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    keys = np.minimum(u, v) * len(labels) + np.maximum(u, v)
+    loops = u == v
+    # a line repeats an edge when an earlier line has its key; a stable sort
+    # puts the earliest line of every key first
+    order = np.argsort(keys, kind="stable")
+    repeated = np.zeros(len(keys), dtype=bool)
+    repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    duplicates = repeated & ~loops
+    bad = loops | duplicates
+
+    if not dedupe and bad.any():
+        e = int(np.argmax(bad))
+        first, second = labels[u[e]], labels[v[e]]
+        if loops[e]:
+            raise GraphValidationError(f"line {linenos[e]}: self-loop at vertex {first!r}")
+        raise GraphValidationError(
+            f"line {linenos[e]}: duplicate edge {first!r} -- {second!r}"
+        )
+    if parse_error is not None:
+        raise parse_error
     if not labels:
         raise GraphValidationError("empty graph: no edges or vertices found")
-    if duplicates or self_loops:
+    if bad.any():
         parts = []
-        if duplicates:
-            parts.append(f"{duplicates} duplicate edge(s)")
-        if self_loops:
-            parts.append(f"{self_loops} self-loop line(s)")
+        if duplicates.any():
+            parts.append(f"{np.count_nonzero(duplicates)} duplicate edge(s)")
+        if loops.any():
+            parts.append(f"{np.count_nonzero(loops)} self-loop line(s)")
         warnings.warn("dropped " + " and ".join(parts), DuplicateEdgeWarning, stacklevel=2)
-
-    adj: list[list[int]] = [[] for _ in labels]
-    for u, v in edge_set:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(
-        labels=tuple(labels),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        edges=tuple(sorted(edge_set)),
-    )
+    return _build_graph(labels, u[~bad], v[~bad])
 
 
 def dump_edge_list(graph: Graph) -> str:
@@ -296,25 +316,11 @@ def enumerate_triangles(graph: Graph) -> TriangleSet:
 
 def remove_vertices(graph: Graph, labels: Iterable[str]) -> Graph:
     """Induced subgraph on the surviving vertices; their labels are kept."""
-    doomed = {graph.id_of(lab) for lab in labels}
-    survivors = [i for i in range(graph.n) if i not in doomed]
-    if not survivors:
+    survives = np.ones(graph.n, dtype=bool)
+    survives[[graph.id_of(lab) for lab in labels]] = False
+    if not survives.any():
         raise GraphValidationError("removal would leave an empty graph")
-    new_id = {old: new for new, old in enumerate(survivors)}
-    adj: list[list[int]] = [[] for _ in survivors]
-    edges: list[tuple[int, int]] = []
-    for u, v in graph.edges:
-        if u in doomed or v in doomed:
-            continue
-        a, b = new_id[u], new_id[v]
-        adj[a].append(b)
-        adj[b].append(a)
-        edges.append((min(a, b), max(a, b)))
-    return Graph(
-        labels=tuple(graph.labels[i] for i in survivors),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        edges=tuple(sorted(edges)),
-    )
+    return _induced(graph, np.flatnonzero(survives))
 
 
 @dataclass(frozen=True, eq=False)

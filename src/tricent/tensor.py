@@ -12,17 +12,18 @@ The spectral radius rho and its positive eigenvector x (A x^2 = rho x^[2],
 x^[2] the componentwise square) are found by the Ng-Qi-Zhou power iteration
 with an additive diagonal shift, which converges for every weakly irreducible
 nonnegative tensor; connectivity of the graph guarantees weak irreducibility
-for alpha in (0, 1].
+for alpha in (0, 1]. The same shifted Collatz-Wielandt power kernel, run at
+order 2 on the adjacency matrix, computes eigenvector centrality.
 
-The tensor is never materialized in the production path: the operator stores
-flattened (i, j, k, coefficient) contribution arrays in lexicographic (i, j, k)
-order and accumulates them strictly in that order, so apply() is bitwise equal
-to a naive triple-loop contraction of the dense tensor. The build stacks the
-2m edge entries (i, j, j) and the 6T triangle entries (i, j, k), (i, k, j),
-sorts them once on the int64 key (i*n + j)*n + k and decodes i, j, k from the
-sorted keys; edge entries are exactly those with j == k. Keys run up to
-n^3 - 1, so the operator accepts at most MAX_VERTICES = 2 097 151 vertices
-(n^3 < 2^63).
+The tensor is never materialized: the operator stores flattened
+(i, j, k, coefficient) contribution arrays in lexicographic (i, j, k) order
+and accumulates them strictly in that order, so apply() is bitwise equal to
+a naive triple-loop contraction of the dense tensor (the test suite's
+oracle). The build stacks the 2m edge entries (i, j, j) and the 6T triangle
+entries (i, j, k), (i, k, j), sorts them once on the int64 key
+(i*n + j)*n + k and decodes i, j, k from the sorted keys; edge entries are
+exactly those with j == k. Keys run up to n^3 - 1, so the operator accepts
+at most MAX_VERTICES = 2 097 151 vertices (n^3 < 2^63).
 """
 
 from __future__ import annotations
@@ -32,14 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, TriangleSet, connected_components, enumerate_triangles
+from .graph import Graph, TriangleSet, _induced, connected_components, enumerate_triangles
 from .report import CentralityReport, make_report
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_SHIFT = 1.0
-MATERIALIZE_LIMIT = 64
 MAX_VERTICES = 2**21 - 1  # largest n with n^3 < 2^63, so int64 entry keys cannot wrap
+# apply() works through its entries in blocks of this many, so each float
+# temporary is 64 KiB: below glibc's initial and lowest mmap threshold
+# (128 KiB), it comes from the heap instead of a fresh mmap that faults its
+# pages in. Temporaries of the full entry length ran at full speed or about
+# 1.6x slower, depending on what earlier allocations did to that threshold.
+_APPLY_BLOCK = 8192
 
 
 class AlphaDomainError(ValueError):
@@ -127,9 +133,12 @@ class AlphaTriangleOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}, got shape {x.shape}")
-        contributions = self._coeffs * x[self._cols_j] * x[self._cols_k]
         out = np.zeros(self.n)
-        np.add.at(out, self._rows, contributions)
+        for start in range(0, len(self._rows), _APPLY_BLOCK):
+            block = slice(start, start + _APPLY_BLOCK)
+            contributions = self._coeffs[block] * x[self._cols_j[block]]
+            contributions *= x[self._cols_k[block]]
+            np.add.at(out, self._rows[block], contributions)
         return out
 
 
@@ -144,51 +153,6 @@ def build_operator(
     return AlphaTriangleOperator(
         graph, triangles, alpha, allow_disconnected=allow_disconnected
     )
-
-
-def materialize_tensor(
-    graph: Graph, triangles: TriangleSet, alpha: float
-) -> np.ndarray:
-    """Dense n*n*n tensor alpha*A_E + (1-alpha)*A_tri (test oracle only).
-
-    Unlike the operator path, alpha = 0 is accepted here so the blend itself
-    can be exercised. Refuses n > 64.
-    """
-    if graph.n > MATERIALIZE_LIMIT:
-        raise ValueError(
-            f"dense tensor needs n^3 floats; refusing n = {graph.n} > {MATERIALIZE_LIMIT}"
-        )
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaDomainError(f"alpha must lie in [0, 1] for the oracle, got {alpha}")
-    n = graph.n
-    tensor = np.zeros((n, n, n))
-    edge_coeff = alpha
-    tri_coeff = (1.0 - alpha) * 0.5
-    for i, j in graph.edges:
-        tensor[i, j, j] = edge_coeff
-        tensor[j, i, i] = edge_coeff
-    for p, q, r in triangles.triangles:
-        for a, b, c in ((p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p)):
-            tensor[a, b, c] = tri_coeff
-    return tensor
-
-
-def contract_tensor(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Naive triple-loop contraction (T x^2)_i = sum_jk T[i,j,k] x_j x_k.
-
-    Reference implementation: accumulates in exact (j, k) lexicographic order,
-    which pins the floating-point result apply() must reproduce bitwise.
-    """
-    n = len(x)
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            for k in range(n):
-                acc += tensor[i, j, k] * x[j] * x[k]
-        out[i] = acc
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +190,31 @@ def solve_spectral(
     falls below tol. Raises ConvergenceError with the final bracket if the
     budget runs out.
     """
+    return _shifted_power(
+        op, 3, tol=tol, max_iter=max_iter, shift=shift, x0=x0, record_history=record_history
+    )
+
+
+def _shifted_power(
+    op,
+    order: int,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    shift: float = DEFAULT_SHIFT,
+    x0: np.ndarray | None = None,
+    record_history: bool = False,
+) -> SpectralResult:
+    """Perron pair of a nonnegative matrix (order 2) or order-3 tensor.
+
+    op has a length n and an apply(x) that is homogeneous of degree
+    order - 1: A x for a matrix, A x^2 for the tensor. Each step forms
+    y = op.apply(x) + shift * x^[order-1] and sets x to the unit-Euclidean
+    (order - 1)-th root of y; min and max of y / x^[order-1], less the
+    shift, bracket the spectral radius, and iteration stops once the bracket
+    is narrower than tol. op.apply is looked up on every call, so a wrapper
+    assigned to the instance sees every product.
+    """
     n = op.n
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -246,21 +235,21 @@ def solve_spectral(
     history: list[tuple[float, float]] = []
     lo = hi = np.nan
     for iteration in range(1, max_iter + 1):
-        x_sq = x * x
-        y = op.apply(x) + shift * x_sq
+        x_pow = x if order == 2 else x * x  # x^[order-1]
+        y = op.apply(x) + shift * x_pow
         if np.any(y <= 0):
             raise RuntimeError(
                 "nonpositive iterate component: operator is not weakly "
                 "irreducible (disconnected input?) or the seed was invalid"
             )
-        ratios = y / x_sq
+        ratios = y / x_pow
         lo = float(ratios.min()) - shift
         hi = float(ratios.max()) - shift
         if record_history:
             history.append((lo, hi))
         if hi - lo < tol:
             rho = 0.5 * (lo + hi)
-            residual = float(np.max(np.abs(op.apply(x) - rho * x_sq)))
+            residual = float(np.max(np.abs(op.apply(x) - rho * x_pow)))
             return SpectralResult(
                 rho=rho,
                 x=x,
@@ -269,7 +258,7 @@ def solve_spectral(
                 bracket=(lo, hi),
                 bracket_history=tuple(history) if record_history else None,
             )
-        x = np.sqrt(y)
+        x = y if order == 2 else np.sqrt(y)
         x /= np.linalg.norm(x)
 
     raise ConvergenceError(
@@ -333,13 +322,12 @@ def atec_per_component(
     total_iters = 0
     worst_residual = 0.0
     for comp in components:
-        keep = sorted(comp)
+        keep = np.array(sorted(comp), dtype=np.int64)
         sub = graph if len(comp) == graph.n else _induced(graph, keep)
         tri = enumerate_triangles(sub)
         op = build_operator(sub, tri, alpha)
         res = solve_spectral(op, tol=tol, max_iter=max_iter, shift=shift)
-        for local, orig in enumerate(keep):
-            scores[orig] = res.x[local]
+        scores[keep] = res.x
         total_iters += res.iterations
         worst_residual = max(worst_residual, res.residual)
     return make_report(
@@ -354,25 +342,6 @@ def atec_per_component(
             "residual": worst_residual,
             "tolerance": tol,
         },
-    )
-
-
-def _induced(graph: Graph, keep: list[int]) -> Graph:
-    new_id = {old: new for new, old in enumerate(keep)}
-    keep_set = set(keep)
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in graph.edges
-        if u in keep_set and v in keep_set
-    ]
-    adj: list[list[int]] = [[] for _ in keep]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(
-        labels=tuple(graph.labels[i] for i in keep),
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
-        edges=tuple(sorted(edges)),
     )
 
 

@@ -3,23 +3,46 @@
 Everything here is deliberately naive and kept away from the library code
 paths it checks: component counts by plain BFS, triangle counts by trace(A^3),
 betweenness by explicit shortest-path enumeration over exact rationals,
-subgraph centrality by a truncated Taylor series of exp(A). The loop-based
-operator build, the competition rankings and the rank correlations at the
-end are the reference the vectorised library versions must match exactly.
+subgraph centrality by a truncated Taylor series of exp(A), the alpha-triangle
+operator by a dense tensor and a triple-loop contraction. The loop-based
+operator build, the competition rankings, the rank correlations, the per-caller
+graph builders and the two power loops at the end are the reference the
+library versions must match exactly.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from tricent import Graph, RankedTriangle, RankedVertex, TriangleRanking, TriangleSet
+from tricent import (
+    AlphaDomainError,
+    CentralityReport,
+    ConvergenceError,
+    DuplicateEdgeWarning,
+    EdgeListParseError,
+    Graph,
+    GraphValidationError,
+    NotConnectedError,
+    RankedTriangle,
+    RankedVertex,
+    SpectralResult,
+    TriangleRanking,
+    TriangleSet,
+    adjacency_matrix,
+    is_connected,
+    make_report,
+)
 from tricent.report import VERTEX_TIE_TOL, label_sort_key
+from tricent.tensor import DEFAULT_MAX_ITER, DEFAULT_SHIFT, DEFAULT_TOL
 
 
 def adjacency_of(graph: Graph) -> np.ndarray:
@@ -323,3 +346,329 @@ def kendall_tau_b(a: np.ndarray, b: np.ndarray, tol: float) -> float:
     if denom_a == denom_b:
         return float(Fraction(concordant - discordant, denom_a))
     return (concordant - discordant) / math.sqrt(denom_a * denom_b)
+
+
+# --- the library's code before one graph builder and one power kernel -------
+#
+# The four hand-written "edge set -> Graph" builders, the dense-tensor oracle
+# of the operator, and the two Collatz-Wielandt power loops, as they were.
+# The array builder and the shared shifted power kernel must reproduce them
+# exactly: same graphs, bitwise-equal solver results and reports.
+
+MATERIALIZE_LIMIT = 64
+
+
+def graph_from_edge_labels(pairs: Iterable[tuple[str, str]]) -> Graph:
+    """Build a graph from (label, label) pairs, ids in first-appearance order."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+
+    def intern(lab: str) -> int:
+        if lab not in index:
+            index[lab] = len(labels)
+            labels.append(lab)
+        return index[lab]
+
+    edge_set: set[tuple[int, int]] = set()
+    for a, b in pairs:
+        u, v = intern(a), intern(b)
+        if u == v:
+            raise GraphValidationError(f"self-loop at vertex {a!r}")
+        edge_set.add((min(u, v), max(u, v)))
+    if not labels:
+        raise GraphValidationError("empty graph")
+    adj: list[list[int]] = [[] for _ in labels]
+    for u, v in edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(
+        labels=tuple(labels),
+        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
+        edges=tuple(sorted(edge_set)),
+    )
+
+
+def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Graph:
+    """Parse edge-list text into a Graph.
+
+    Every non-comment line holds two whitespace-separated vertex labels;
+    ``#`` starts a comment (whole-line or trailing). Labels are mapped to
+    0-based internal ids in first-appearance order.
+
+    With dedupe=True, repeated edges and self-loop lines are skipped and
+    reported through a DuplicateEdgeWarning; otherwise both are errors.
+    """
+    if isinstance(source, (str, Path)):
+        stream: TextIO = io.StringIO(Path(source).read_text())
+    else:
+        stream = source
+
+    labels: list[str] = []
+    index: dict[str, int] = {}
+
+    def intern(lab: str) -> int:
+        if lab not in index:
+            index[lab] = len(labels)
+            labels.append(lab)
+        return index[lab]
+
+    edge_set: set[tuple[int, int]] = set()
+    duplicates = 0
+    self_loops = 0
+    for lineno, raw in enumerate(stream, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        tokens = text.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(
+                f"expected two labels, got {len(tokens)}: {text!r}", lineno
+            )
+        u, v = intern(tokens[0]), intern(tokens[1])
+        if u == v:
+            if dedupe:
+                self_loops += 1
+                continue
+            raise GraphValidationError(
+                f"line {lineno}: self-loop at vertex {tokens[0]!r}"
+            )
+        key = (min(u, v), max(u, v))
+        if key in edge_set:
+            if dedupe:
+                duplicates += 1
+                continue
+            raise GraphValidationError(
+                f"line {lineno}: duplicate edge {tokens[0]!r} -- {tokens[1]!r}"
+            )
+        edge_set.add(key)
+
+    if not labels:
+        raise GraphValidationError("empty graph: no edges or vertices found")
+    if duplicates or self_loops:
+        parts = []
+        if duplicates:
+            parts.append(f"{duplicates} duplicate edge(s)")
+        if self_loops:
+            parts.append(f"{self_loops} self-loop line(s)")
+        warnings.warn("dropped " + " and ".join(parts), DuplicateEdgeWarning, stacklevel=2)
+
+    adj: list[list[int]] = [[] for _ in labels]
+    for u, v in edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(
+        labels=tuple(labels),
+        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
+        edges=tuple(sorted(edge_set)),
+    )
+
+
+def remove_vertices(graph: Graph, labels: Iterable[str]) -> Graph:
+    """Induced subgraph on the surviving vertices; their labels are kept."""
+    doomed = {graph.id_of(lab) for lab in labels}
+    survivors = [i for i in range(graph.n) if i not in doomed]
+    if not survivors:
+        raise GraphValidationError("removal would leave an empty graph")
+    new_id = {old: new for new, old in enumerate(survivors)}
+    adj: list[list[int]] = [[] for _ in survivors]
+    edges: list[tuple[int, int]] = []
+    for u, v in graph.edges:
+        if u in doomed or v in doomed:
+            continue
+        a, b = new_id[u], new_id[v]
+        adj[a].append(b)
+        adj[b].append(a)
+        edges.append((min(a, b), max(a, b)))
+    return Graph(
+        labels=tuple(graph.labels[i] for i in survivors),
+        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
+        edges=tuple(sorted(edges)),
+    )
+
+
+def induced(graph: Graph, keep: list[int]) -> Graph:
+    new_id = {old: new for new, old in enumerate(keep)}
+    keep_set = set(keep)
+    edges = [
+        (new_id[u], new_id[v])
+        for u, v in graph.edges
+        if u in keep_set and v in keep_set
+    ]
+    adj: list[list[int]] = [[] for _ in keep]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(
+        labels=tuple(graph.labels[i] for i in keep),
+        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        edges=tuple(sorted(edges)),
+    )
+
+
+def materialize_tensor(
+    graph: Graph, triangles: TriangleSet, alpha: float
+) -> np.ndarray:
+    """Dense n*n*n tensor alpha*A_E + (1-alpha)*A_tri (test oracle only).
+
+    Unlike the operator path, alpha = 0 is accepted here so the blend itself
+    can be exercised. Refuses n > 64.
+    """
+    if graph.n > MATERIALIZE_LIMIT:
+        raise ValueError(
+            f"dense tensor needs n^3 floats; refusing n = {graph.n} > {MATERIALIZE_LIMIT}"
+        )
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise AlphaDomainError(f"alpha must lie in [0, 1] for the oracle, got {alpha}")
+    n = graph.n
+    tensor = np.zeros((n, n, n))
+    edge_coeff = alpha
+    tri_coeff = (1.0 - alpha) * 0.5
+    for i, j in graph.edges:
+        tensor[i, j, j] = edge_coeff
+        tensor[j, i, i] = edge_coeff
+    for p, q, r in triangles.triangles:
+        for a, b, c in ((p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p)):
+            tensor[a, b, c] = tri_coeff
+    return tensor
+
+
+def contract_tensor(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Naive triple-loop contraction (T x^2)_i = sum_jk T[i,j,k] x_j x_k.
+
+    Reference implementation: accumulates in exact (j, k) lexicographic order,
+    which pins the floating-point result apply() must reproduce bitwise.
+    """
+    n = len(x)
+    out = np.zeros(n)
+    for i in range(n):
+        acc = 0.0
+        for j in range(n):
+            for k in range(n):
+                acc += tensor[i, j, k] * x[j] * x[k]
+        out[i] = acc
+    return out
+
+
+def solve_spectral_by_loop(
+    op,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    shift: float = DEFAULT_SHIFT,
+    x0: np.ndarray | None = None,
+    record_history: bool = False,
+) -> SpectralResult:
+    """Shifted higher-order power iteration for rho(A) and its eigenvector.
+
+    Iterates y = A x^2 + shift * x^[2]; x <- sqrt(y) / ||sqrt(y)||_2. The
+    Collatz-Wielandt ratios y_i / x_i^2 bracket rho + shift from both sides,
+    the bracket tightens monotonically, and iteration stops when its width
+    falls below tol. Raises ConvergenceError with the final bracket if the
+    budget runs out.
+    """
+    n = op.n
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if shift <= 0:
+        raise ValueError("shift must be positive for guaranteed convergence")
+    if x0 is None:
+        x = np.full(n, 1.0 / np.sqrt(n))
+    else:
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"seed vector must have length {n}")
+        if np.any(x <= 0):
+            raise ValueError("seed vector must be strictly positive")
+        x = x / np.linalg.norm(x)
+
+    history: list[tuple[float, float]] = []
+    lo = hi = np.nan
+    for iteration in range(1, max_iter + 1):
+        x_sq = x * x
+        y = op.apply(x) + shift * x_sq
+        if np.any(y <= 0):
+            raise RuntimeError(
+                "nonpositive iterate component: operator is not weakly "
+                "irreducible (disconnected input?) or the seed was invalid"
+            )
+        ratios = y / x_sq
+        lo = float(ratios.min()) - shift
+        hi = float(ratios.max()) - shift
+        if record_history:
+            history.append((lo, hi))
+        if hi - lo < tol:
+            rho = 0.5 * (lo + hi)
+            residual = float(np.max(np.abs(op.apply(x) - rho * x_sq)))
+            return SpectralResult(
+                rho=rho,
+                x=x,
+                iterations=iteration,
+                residual=residual,
+                bracket=(lo, hi),
+                bracket_history=tuple(history) if record_history else None,
+            )
+        x = np.sqrt(y)
+        x /= np.linalg.norm(x)
+
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations; bracket width "
+        f"{hi - lo:.3e} > tol {tol:.3e}",
+        bracket=(lo, hi),
+        iterations=max_iter,
+    )
+
+
+def eigenvector_centrality_by_loop(
+    graph: Graph, tol: float = 1e-10, max_iter: int = 100_000
+) -> CentralityReport:
+    """Positive unit-Euclidean Perron vector of the adjacency matrix.
+
+    Power iteration on A + I: the +1 diagonal shift makes the matrix primitive
+    for every connected graph (bipartite graphs included), so the iteration
+    always converges. Collatz-Wielandt ratios bracket the eigenvalue and the
+    loop stops when the bracket is narrower than tol.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not is_connected(graph):
+        raise NotConnectedError("eigenvector centrality needs a connected graph")
+    n = graph.n
+    a = adjacency_matrix(graph)
+    x = np.full(n, 1.0 / np.sqrt(n))
+    lo = hi = np.nan
+    for iteration in range(1, max_iter + 1):
+        y = a @ x + x
+        ratios = y / x
+        lo = float(ratios.min()) - 1.0
+        hi = float(ratios.max()) - 1.0
+        if hi - lo < tol:
+            lam = 0.5 * (lo + hi)
+            return make_report(
+                "ec",
+                {},
+                graph.labels,
+                x,
+                "unit-euclidean",
+                meta={
+                    "eigenvalue": lam,
+                    "iterations": iteration,
+                    "residual": float(np.max(np.abs(a @ x - lam * x))),
+                },
+            )
+        x = y / np.linalg.norm(y)
+    raise ConvergenceError(
+        f"eigenvector centrality: no convergence after {max_iter} iterations",
+        bracket=(lo, hi),
+        iterations=max_iter,
+    )
+
+
+def apply_in_one_pass(op, x: np.ndarray) -> np.ndarray:
+    """AlphaTriangleOperator.apply as it was, without blocks."""
+    contributions = op._coeffs * x[op._cols_j] * x[op._cols_k]
+    out = np.zeros(op.n)
+    np.add.at(out, op._rows, contributions)
+    return out

@@ -16,12 +16,10 @@ from tricent import (
     atec,
     betweenness_centrality,
     build_operator,
-    contract_tensor,
     cycle_index_fiedler,
     degree_centrality,
     eigenvector_centrality,
     enumerate_triangles,
-    materialize_tensor,
     rank_correlation,
     removal_experiment,
     solve_spectral,
@@ -34,7 +32,9 @@ from oracles import (
     adjacency_of,
     betweenness_by_enumeration,
     complete_graph,
+    contract_tensor,
     cycle_graph,
+    materialize_tensor,
     path_graph,
     random_connected_graph,
     random_tree,

@@ -85,6 +85,11 @@ class TestEigenvectorCentrality:
             with pytest.raises(ValueError, match="tol"):
                 eigenvector_centrality(k3, tol=tol)
 
+    def test_bad_max_iter_rejected(self, k3):
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                eigenvector_centrality(k3, max_iter=max_iter)
+
 
 class TestTriangleCentrality:
     def test_g14_values_and_ratio(self, g14, g14_triangles):

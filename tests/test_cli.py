@@ -449,6 +449,28 @@ class TestCsvQuoting:
         assert len(row) == len(header) and row[0] == 'q"r'
         assert text.splitlines()[1].startswith('"q""r",')
 
+    @pytest.mark.parametrize(
+        "value, removed",
+        [
+            ('"a,b",c', ["a,b", "c"]),
+            ('"q""r"', ['q"r']),
+            (' q"r , "a,b" ,', ['q"r', "a,b"]),
+        ],
+    )
+    def test_remove_reads_quoted_labels(self, capsys, odd_file, value, removed):
+        code, out, _ = run(
+            capsys, "connectivity", "--input", str(odd_file), "--remove", value,
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out.split("\n", 1)[1])["removed"] == removed
+
+    @pytest.mark.parametrize("value", ['"a,b', 'c,"q""r', '"a"b,c'])
+    def test_remove_with_a_broken_quote_is_usage_error(self, capsys, odd_file, value):
+        code, _, err = run(capsys, "connectivity", "--input", str(odd_file), "--remove", value)
+        assert code == 2
+        assert "usage error" in err and "quote" in err
+
     def test_plain_labels_stay_unquoted(self, capsys, k3_file):
         code, out, _ = run(capsys, "stats", "--input", str(k3_file))
         assert code == 0

@@ -1,41 +1,64 @@
-"""Vectorised operator build, rankings and rank correlations against loop oracles.
+"""Library paths against the loop oracles they replaced.
 
 Each library path must reproduce its loop-based reference exactly: the same
-operator index arrays, bitwise-equal coefficients, equal ranking tuples and
-equal correlation floats.
+operator index arrays, bitwise-equal coefficients, equal ranking tuples,
+equal correlation floats, the same graphs from the one array builder (errors
+and warnings included), and bitwise-equal results from the shared power
+kernel.
 Graphs are seeded random graphs (triangle-free and single-edge ones included)
 over labels chosen to trip numeric label ordering: "01", "1" and "+1" all
 parse as the integer 1, "1_0" parses as 10.
 """
 
+import io
 import math
 import random
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 from tricent import (
     AlphaTriangleOperator,
+    ConvergenceError,
     Graph,
+    atec_per_component,
+    connected_components,
+    dataset_names,
     degree_centrality,
+    eigenvector_centrality,
     enumerate_triangles,
+    load_dataset,
+    load_edge_list,
     make_report,
     rank_correlation,
+    remove_vertices,
+    solve_spectral,
     triangle_importance,
 )
-from tricent import analysis
+from tricent import analysis, tensor
 from tricent.analysis import RANK_TIE_TOL, TRIANGLE_TIE_TOL, _rank_triangles
+from tricent.graph import _induced
 from tricent.report import VERTEX_TIE_TOL
 from tricent.tensor import MAX_VERTICES
 
+import oracles
 from oracles import (
+    apply_in_one_pass,
     average_ranks,
+    contract_tensor,
+    eigenvector_centrality_by_loop,
+    graph_from_edge_labels,
+    induced,
     kendall_tau_b,
+    materialize_tensor,
     operator_arrays_by_loops,
     pearson_of_ranks,
+    random_connected_graph,
     rank_scores,
     rank_triangles,
+    solve_spectral_by_loop,
 )
 
 ADVERSARIAL_LABELS = ["01", "1", "+1", "1_0", "-3", "a", "B", "é"]
@@ -135,6 +158,33 @@ def test_operator_build_matches_loop_build_on_celegans(celegans, celegans_triang
     assert np.array_equal(op._cols_j, cols_j)
     assert np.array_equal(op._cols_k, cols_k)
     assert op._coeffs.tobytes() == coeffs.tobytes()
+
+
+@pytest.mark.parametrize("block", (1, 5, 64))
+def test_apply_blocks_are_exact(monkeypatch, block):
+    """Tiny apply() blocks split rows across blocks; sums stay bitwise equal."""
+    monkeypatch.setattr(tensor, "_APPLY_BLOCK", block)
+    rng = random.Random(block)
+    nprng = np.random.default_rng(block)
+    for _ in range(10):
+        graph = random_connected_graph(rng, rng.randint(2, 12), 0.4)
+        triangles = enumerate_triangles(graph)
+        alpha = rng.uniform(0.02, 1.0)
+        op = AlphaTriangleOperator(graph, triangles, alpha)
+        dense = materialize_tensor(graph, triangles, alpha)
+        x = nprng.uniform(0.05, 2.0, size=graph.n)
+        assert op.apply(x).tobytes() == contract_tensor(dense, x).tobytes()
+        assert op.apply(x).tobytes() == apply_in_one_pass(op, x).tobytes()
+
+
+def test_apply_matches_one_pass_on_celegans(celegans, celegans_triangles):
+    nprng = np.random.default_rng(5)
+    for alpha in (1.0, 0.2, 0.01):
+        op = AlphaTriangleOperator(celegans, celegans_triangles, alpha)
+        assert len(op._rows) > 2 * tensor._APPLY_BLOCK
+        for _ in range(5):
+            x = nprng.uniform(0.05, 2.0, size=celegans.n)
+            assert op.apply(x).tobytes() == apply_in_one_pass(op, x).tobytes()
 
 
 def test_operator_rejects_graphs_beyond_the_key_range():
@@ -317,3 +367,269 @@ def test_spearman_length_limit(monkeypatch):
     with pytest.raises(ValueError, match="at most 3 scores, got 4"):
         rank_correlation(a, b, "spearman")
     assert rank_correlation(a, b, "kendall") == oracle_correlation(a, b, "kendall")
+
+
+# --- one graph builder ------------------------------------------------------
+
+EXTRA_LABELS = ("a,b", 'q"r')
+
+
+def assert_same_graph(got: Graph, want: Graph):
+    """Equal labels, edges and adjacency (Python ints), and an equal read-only edge_array."""
+    assert got.labels == want.labels
+    assert repr(got.edges) == repr(want.edges)
+    assert repr(got.adjacency) == repr(want.adjacency)
+    arr, ref = got.edge_array, want.edge_array
+    assert arr.dtype == ref.dtype == np.int64
+    assert arr.shape == ref.shape and np.array_equal(arr, ref)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr[...] = 0
+
+
+def outcome(build):
+    """(error type, message), or (warnings seen, graph), of build()."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph = build()
+        except Exception as exc:  # the oracle's exception is the expectation
+            return type(exc), str(exc)
+    return [(w.category, str(w.message), w.filename) for w in caught], graph
+
+
+def assert_same_outcome(got, want):
+    assert type(got[1]) is type(want[1]), (got, want)
+    if isinstance(want[1], Graph):
+        assert got[0] == want[0]
+        assert_same_graph(got[1], want[1])
+    else:
+        assert got == want
+
+
+def edge_pairs(graph: Graph, rng: random.Random) -> list[tuple[str, str]]:
+    """graph's edges as label pairs plus edges on the extra labels, shuffled and
+    partly reversed, with forward and reversed repeats."""
+    pairs = [(graph.labels[u], graph.labels[v]) for u, v in graph.edges]
+    pairs += [(EXTRA_LABELS[0], graph.labels[0]), EXTRA_LABELS, (graph.labels[-1], EXTRA_LABELS[1])]
+    pairs += [(b, a) for a, b in rng.sample(pairs, len(pairs) // 3)]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    return [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+
+
+def edge_list_text(rng: random.Random, pairs, loop_p: float, parse_p: float) -> str:
+    """pairs as edge-list lines, with comments, blank lines, self-loops (some on
+    labels found nowhere else) and lines of one or three labels mixed in."""
+    lines = ["# header"]
+    for k, (a, b) in enumerate(pairs):
+        r = rng.random()
+        if r < loop_p:
+            lines.append(f"{a} {a}" if rng.random() < 0.5 else f"iso{k} iso{k}")
+        elif r < loop_p + parse_p:
+            lines.append(rng.choice((f"{a}", f"{a} {b} {a}", f"{a} {b} x # c")))
+        elif r < loop_p + parse_p + 0.05:
+            lines.append(rng.choice(("", "   ", "# comment")))
+        lines.append(f"{a} {b}" + rng.choice(("", "  # trailing", "\t")))
+    return "\n".join(lines) + "\n"
+
+
+def builder_cases():
+    rng = random.Random(20261018)
+    pair_lists = [edge_pairs(g, rng) for g in GRAPHS]
+    clean = [[(g.labels[u], g.labels[v]) for u, v in g.edges] for g in GRAPHS]
+    texts = [edge_list_text(rng, pairs, 0.0, 0.0) for pairs in clean]
+    for k in range(48):
+        pairs = rng.choice((pair_lists, clean))[k % len(GRAPHS)]
+        texts.append(
+            edge_list_text(rng, pairs, rng.choice((0.0, 0.02, 0.1)), rng.choice((0.0, 0.01, 0.05)))
+        )
+    texts += ["", "# only a comment\n", "x x\ny y\n", "a b\nb a\na\n", "a b c\nb b\n"]
+    return pair_lists, texts
+
+
+PAIR_LISTS, EDGE_TEXTS = builder_cases()
+
+
+def test_builder_cases_cover_every_path():
+    plain = [outcome(lambda: oracles.load_edge_list(io.StringIO(t))) for t in EDGE_TEXTS]
+    deduped = [outcome(lambda: oracles.load_edge_list(io.StringIO(t), dedupe=True)) for t in EDGE_TEXTS]
+    messages = [o[1] for o in plain + deduped if not isinstance(o[1], Graph)]
+    for fragment in ("duplicate edge", "self-loop at", "expected two labels", "empty graph"):
+        assert any(fragment in m for m in messages), fragment
+    assert sum(isinstance(o[1], Graph) for o in plain) >= len(GRAPHS)
+    assert any(o[0] and isinstance(o[1], Graph) for o in deduped)
+    assert any(
+        isinstance(g, Graph) and 0 in g.degrees() for _, g in deduped
+    ), "a vertex kept only from a skipped self-loop line"
+
+
+@pytest.mark.parametrize("pairs", PAIR_LISTS, ids=lambda p: f"pairs{len(p)}")
+def test_from_edge_labels_matches_seed_builder(pairs):
+    assert_same_graph(Graph.from_edge_labels(pairs), graph_from_edge_labels(pairs))
+    assert_same_graph(Graph.from_edge_labels(iter(pairs)), graph_from_edge_labels(pairs))
+    rng = random.Random(len(pairs))
+    at = rng.randrange(len(pairs))
+    for bad in (pairs[:at] + [(pairs[at][1], pairs[at][1])] + pairs[at:], []):
+        assert_same_outcome(
+            outcome(lambda: Graph.from_edge_labels(bad)),
+            outcome(lambda: graph_from_edge_labels(bad)),
+        )
+
+
+@pytest.mark.parametrize("dedupe", (False, True))
+@pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda t: f"lines{t.count(chr(10))}")
+def test_load_edge_list_matches_seed_parser(text, dedupe):
+    got = outcome(lambda: load_edge_list(io.StringIO(text), dedupe=dedupe))
+    want = outcome(lambda: oracles.load_edge_list(io.StringIO(text), dedupe=dedupe))
+    assert_same_outcome(got, want)
+    if isinstance(want[1], Graph) and want[0]:
+        assert want[0][0][2] == __file__  # the warning names the caller's line
+
+
+def test_load_edge_list_reads_paths_like_the_seed(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text(EDGE_TEXTS[3])
+    for source in (path, str(path)):
+        assert_same_graph(load_edge_list(source), oracles.load_edge_list(source))
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_remove_vertices_matches_seed(graph):
+    rng = random.Random(graph.m)
+    hub = max(range(graph.n), key=graph.degree)
+    cases = [
+        [],
+        [graph.labels[hub]],
+        [graph.labels[j] for j in graph.adjacency[hub]],  # leaves the hub isolated
+        rng.sample(graph.labels, rng.randrange(1, graph.n)),
+        list(graph.labels),  # removes every vertex
+        [graph.labels[0], "no such label", graph.labels[0]],
+        [graph.labels[-1], graph.labels[-1]],
+    ]
+    for doomed in cases:
+        assert_same_outcome(
+            outcome(lambda: remove_vertices(graph, doomed)),
+            outcome(lambda: oracles.remove_vertices(graph, doomed)),
+        )
+
+
+def multi_component_graphs() -> list[Graph]:
+    """Disjoint unions of sample graphs, single edges and isolated vertices."""
+    rng = random.Random(7)
+    graphs = []
+    for k in range(6):
+        lines = []
+        for part, g in enumerate(rng.sample(GRAPHS, rng.randrange(2, 5))):
+            lines += [f"c{part}:{g.labels[u]} c{part}:{g.labels[v]}" for u, v in g.edges]
+        lines += [f"e{k} f{k}"] + [f"iso{j} iso{j}" for j in range(k % 3)]
+        rng.shuffle(lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            graphs.append(load_edge_list(io.StringIO("\n".join(lines)), dedupe=True))
+    return graphs + [g for g in GRAPHS if len(connected_components(g)) > 1]
+
+
+MULTI_COMPONENT = multi_component_graphs()
+
+
+@pytest.mark.parametrize("graph", MULTI_COMPONENT, ids=lambda g: f"n{g.n}m{g.m}")
+def test_induced_subgraphs_and_atec_per_component_match_seed(graph):
+    components = connected_components(graph)
+    assert len(components) > 1
+    for comp in components:
+        keep = sorted(comp)
+        assert_same_graph(_induced(graph, np.array(keep, dtype=np.int64)), induced(graph, keep))
+    for alpha in (1.0, 0.5, 0.01):
+        report = atec_per_component(graph, alpha)
+        scores = np.zeros(graph.n)
+        iterations, residual = 0, 0.0
+        for comp in components:
+            keep = sorted(comp)
+            sub = induced(graph, keep)
+            op = AlphaTriangleOperator(sub, enumerate_triangles(sub), alpha)
+            res = solve_spectral_by_loop(op)
+            scores[keep] = res.x
+            iterations += res.iterations
+            residual = max(residual, res.residual)
+        assert report.scores.tobytes() == scores.tobytes()
+        assert report.meta["iterations"] == iterations
+        assert report.meta["residual"].hex() == residual.hex()
+        assert report.meta["components"] == len(components)
+
+
+# --- one shifted power kernel -----------------------------------------------
+
+
+def kernel_graphs() -> list[Graph]:
+    rng = random.Random(31)
+    graphs = [load_dataset(name) for name in dataset_names()]
+    graphs += [oracles.random_tree(rng, n) for n in (2, 3, 9, 30)]  # bipartite
+    graphs += [random_connected_graph(rng, n, p) for n, p in ((5, 0.5), (20, 0.2), (40, 0.1))]
+    return graphs
+
+
+KERNEL_GRAPHS = kernel_graphs()
+
+
+def assert_same_spectral(got, want):
+    assert got.rho.hex() == want.rho.hex()
+    assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+    assert got.iterations == want.iterations
+    assert got.residual.hex() == want.residual.hex()
+    assert [v.hex() for v in got.bracket] == [v.hex() for v in want.bracket]
+    assert got.bracket_history == want.bracket_history
+
+
+@pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_eigenvector_centrality_matches_seed_loop(graph):
+    got = eigenvector_centrality(graph)
+    want = eigenvector_centrality_by_loop(graph)
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.ranking == want.ranking
+    assert got.meta.keys() == want.meta.keys()
+    for key, value in want.meta.items():
+        assert repr(got.meta[key]) == repr(value), key
+    if want.meta["iterations"] > 2:
+        with pytest.raises(ConvergenceError) as got_err:
+            eigenvector_centrality(graph, max_iter=2)
+        with pytest.raises(ConvergenceError) as want_err:
+            eigenvector_centrality_by_loop(graph, max_iter=2)
+        assert "no convergence after 2 iterations" in str(got_err.value)
+        assert got_err.value.bracket == want_err.value.bracket
+        assert got_err.value.iterations == want_err.value.iterations == 2
+
+
+@pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_solve_spectral_matches_seed_loop(graph):
+    triangles = enumerate_triangles(graph)
+    x0 = np.linspace(1.0, 2.0, graph.n)
+    for alpha in (1.0, 0.5, 0.01):
+        op = AlphaTriangleOperator(graph, triangles, alpha)
+        want = solve_spectral_by_loop(op, record_history=True)
+        assert_same_spectral(solve_spectral(op, record_history=True), want)
+        for kwargs in ({"x0": x0, "shift": 2.0, "max_iter": 3000}, {"max_iter": 2}):
+            try:
+                want = solve_spectral_by_loop(op, **kwargs)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as got_err:
+                    solve_spectral(op, **kwargs)
+                assert str(got_err.value) == str(exc)
+                assert got_err.value.bracket == exc.bracket
+            else:
+                assert_same_spectral(solve_spectral(op, **kwargs), want)
+
+
+def test_solver_calls_apply_through_the_instance(karate):
+    """A wrapper assigned to op.apply sees every product the solve takes."""
+    op = AlphaTriangleOperator(karate, enumerate_triangles(karate), 0.5)
+    inner, calls = op.apply, []
+
+    def counted(x):
+        calls.append(x.copy())
+        return inner(x)
+
+    op.apply = counted
+    result = solve_spectral(op)
+    assert len(calls) == result.iterations + 1  # one per step, one for the residual
+    assert calls[-1].tobytes() == result.x.tobytes()

@@ -12,14 +12,19 @@ from tricent import (
     atec,
     atec_per_component,
     build_operator,
-    contract_tensor,
     enumerate_triangles,
-    materialize_tensor,
     solve_spectral,
     verify_weak_irreducibility,
 )
 
-from oracles import adjacency_of, complete_graph, path_graph, random_connected_graph
+from oracles import (
+    adjacency_of,
+    complete_graph,
+    contract_tensor,
+    materialize_tensor,
+    path_graph,
+    random_connected_graph,
+)
 
 
 def operator_for(graph, alpha, **kw):
@@ -102,6 +107,13 @@ class TestMaterializedOracle:
 
 
 class TestSolveSpectral:
+    def test_nonpositive_iterate_raises(self):
+        g = Graph.from_edge_labels([("a", "b"), ("b", "c"), ("c", "a"), ("x", "y")])
+        op = operator_for(g, 0.5, allow_disconnected=True)
+        # x_j^2 underflows to 0 on the {x, y} component, so y_j = 0 there
+        with pytest.raises(RuntimeError, match="nonpositive iterate"):
+            solve_spectral(op, x0=np.array([1.0, 1.0, 1.0, 1e-200, 1e-200]))
+
     def test_k3_analytic(self, k3):
         res = solve_spectral(operator_for(k3, 0.5))
         assert res.rho == pytest.approx(1.5, abs=1e-9)
