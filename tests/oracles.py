@@ -6,8 +6,8 @@ betweenness by explicit shortest-path enumeration over exact rationals,
 subgraph centrality by a truncated Taylor series of exp(A), the alpha-triangle
 operator by a dense tensor and a triple-loop contraction. The loop-based
 operator build, the competition rankings, the rank correlations, the per-caller
-graph builders and the two power loops at the end are the reference the
-library versions must match exactly.
+graph builders, the two power loops, the adjacency matrix and the per-source
+betweenness loop are the reference the library versions must match exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import io
 import math
 import random
 import warnings
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -179,6 +180,53 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edge_labels([("c", str(i)) for i in range(1, leaves + 1)])
 
 
+def holme_kim_graph(rng: random.Random, n: int, m: int = 4, p: float = 0.6) -> Graph:
+    """Holme-Kim-like clustered power-law graph, connected, labels '0'..'n-1'.
+
+    A clique on m + 1 vertices, then each new vertex links to m others: a
+    degree-biased pick, then with probability p a neighbour of the last such
+    pick (closing a triangle), otherwise another degree-biased pick.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    ends: list[int] = []  # one entry per edge end, so a uniform pick is degree-biased
+    pairs = []
+
+    def link(u: int, v: int) -> None:
+        adj[u].add(v)
+        adj[v].add(u)
+        ends.extend((u, v))
+        pairs.append((str(u), str(v)))
+
+    for v in range(m + 1):
+        for u in range(v):
+            link(u, v)
+    for v in range(m + 1, n):
+        chosen: set[int] = set()
+        last = None
+        while len(chosen) < m:
+            if last is not None and rng.random() < p:
+                nbrs = sorted(adj[last] - chosen)
+                if nbrs:
+                    chosen.add(rng.choice(nbrs))
+                    continue
+            w = rng.choice(ends)
+            if w not in chosen:
+                chosen.add(w)
+                last = w
+        for w in sorted(chosen):
+            link(w, v)
+    return Graph.from_edge_labels(pairs)
+
+
+def diamond_chain(k: int) -> Graph:
+    """k diamonds end to end: 2**k shortest paths between the chain's ends."""
+    pairs = []
+    for i in range(k):
+        for side in ("a", "b"):
+            pairs += [(f"c{i}", f"{side}{i}"), (f"{side}{i}", f"c{i + 1}")]
+    return Graph.from_edge_labels(pairs)
+
+
 def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict[str, str]]:
     """The same structure under a random bijective renaming of labels."""
     new_names = [f"x{i}" for i in range(graph.n)]
@@ -190,6 +238,43 @@ def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict[str, str]]:
 
 
 # --- loop-based reference versions of the vectorised library paths ---------
+
+
+def betweenness_by_loop(graph: Graph) -> np.ndarray:
+    """Float Brandes betweenness, one pass per source over Python lists.
+
+    The float path of the library's per-source loop as it was before the
+    level-synchronous rewrite; raw scores over unordered pairs.
+    """
+    n = graph.n
+    bc = [0.0] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1
+        queue = deque([s])
+        stack: list[int] = []
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in graph.adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    # every unordered pair was accumulated from both endpoints
+    return np.array([float(b / 2) for b in bc])
 
 
 def operator_arrays_by_loops(

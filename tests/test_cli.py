@@ -477,16 +477,42 @@ class TestCsvQuoting:
         assert '"' not in out
 
 
-def test_cli_import_skips_heavy_modules():
-    """The CLI starts fast: no csv, xml, urllib.request, scipy or hypothesis."""
+def modules_after(code: str) -> list[str]:
+    """The names in sys.modules once a fresh interpreter has run code."""
     env = dict(os.environ, PYTHONPATH=str(Path(tricent.__file__).parents[1]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, tricent.cli; print(*sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code + "\nprint(*sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert "tricent.cli" in loaded
+
+
+def heavy_modules(loaded: list[str]) -> list[str]:
     heavy = {"csv", "_csv", "xml", "scipy", "hypothesis"}
-    assert [m for m in loaded if m.split(".")[0] in heavy or m == "urllib.request"] == []
+    return [
+        m for m in loaded
+        if m.split(".")[0] in heavy or m in ("urllib.request", "numpy.ma")
+    ]
+
+
+def test_cli_import_skips_heavy_modules():
+    """The CLI starts fast: no csv, xml, urllib.request, numpy.ma, scipy or hypothesis."""
+    loaded = modules_after("import sys, tricent.cli")
+    assert "tricent.cli" in loaded
+    assert heavy_modules(loaded) == []
+
+
+def test_cli_compare_run_skips_heavy_modules(tmp_path):
+    """A whole compare run, betweenness and Kendall included, imports none of them."""
+    argv = [
+        "compare", "--input", str(dataset_path("karate")), "--measure",
+        "atec:0.2,dc,tc,bc,sc", "--method", "kendall", "--output", str(tmp_path / "out.csv"),
+    ]
+    loaded = modules_after(
+        f"import sys\nfrom tricent.cli import main\nassert main({argv!r}) == 0"
+    )
+    assert "tricent.centrality" in loaded
+    assert heavy_modules(loaded) == []
+    assert (tmp_path / "out.csv").read_text().startswith("measure,atec:0.2,dc,tc,bc,sc\n")
 
 
 def test_version_flag(capsys):

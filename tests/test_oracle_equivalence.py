@@ -3,8 +3,8 @@
 Each library path must reproduce its loop-based reference exactly: the same
 operator index arrays, bitwise-equal coefficients, equal ranking tuples,
 equal correlation floats, the same graphs from the one array builder (errors
-and warnings included), and bitwise-equal results from the shared power
-kernel.
+and warnings included), bitwise-equal results from the shared power kernel,
+and bitwise-equal adjacency matrices and betweenness scores.
 Graphs are seeded random graphs (triangle-free and single-edge ones included)
 over labels chosen to trip numeric label ordering: "01", "1" and "+1" all
 parse as the integer 1, "1_0" parses as 10.
@@ -23,7 +23,9 @@ from tricent import (
     AlphaTriangleOperator,
     ConvergenceError,
     Graph,
+    adjacency_matrix,
     atec_per_component,
+    betweenness_centrality,
     connected_components,
     dataset_names,
     degree_centrality,
@@ -37,7 +39,7 @@ from tricent import (
     solve_spectral,
     triangle_importance,
 )
-from tricent import analysis, tensor
+from tricent import analysis, centrality, tensor
 from tricent.analysis import RANK_TIE_TOL, TRIANGLE_TIE_TOL, _rank_triangles
 from tricent.graph import _induced
 from tricent.report import VERTEX_TIE_TOL
@@ -45,11 +47,15 @@ from tricent.tensor import MAX_VERTICES
 
 import oracles
 from oracles import (
+    adjacency_of,
     apply_in_one_pass,
     average_ranks,
+    betweenness_by_loop,
     contract_tensor,
+    diamond_chain,
     eigenvector_centrality_by_loop,
     graph_from_edge_labels,
+    holme_kim_graph,
     induced,
     kendall_tau_b,
     materialize_tensor,
@@ -633,3 +639,86 @@ def test_solver_calls_apply_through_the_instance(karate):
     result = solve_spectral(op)
     assert len(calls) == result.iterations + 1  # one per step, one for the residual
     assert calls[-1].tobytes() == result.x.tobytes()
+
+
+# --- adjacency matrix and level-synchronous betweenness ----------------------
+
+
+def betweenness_graphs() -> dict[str, Graph]:
+    """Bundled datasets, random graphs (trees, several components, isolated
+    vertices, a single vertex) and Holme-Kim-like graphs with n >= 500."""
+    rng = random.Random(53)
+    graphs = {name: load_dataset(name) for name in dataset_names()}
+    graphs["single-vertex"] = remove_vertices(Graph.from_edge_labels([("a", "b")]), ["a"])
+    for i, g in enumerate(GRAPHS + MULTI_COMPONENT + [random_tree(rng, n) for n in (2, 7, 30)]):
+        graphs[f"random{i}"] = g
+    for i in range(6):
+        g = random_graph(rng, rng.randrange(8, 40), rng.choice((0.1, 0.2, 0.4)))
+        # removing the highest-degree vertices strands some of their neighbours
+        hubs = sorted(range(g.n), key=lambda v: -g.degree(v))[: rng.randrange(1, 4)]
+        graphs[f"removed{i}"] = remove_vertices(g, [g.labels[v] for v in hubs])
+    for n in (500, 600):
+        graphs[f"holme-kim{n}"] = holme_kim_graph(rng, n)
+    return graphs
+
+
+BC_GRAPHS = betweenness_graphs()
+BC_WANT: dict[str, bytes] = {}
+
+
+def test_betweenness_sample_covers_every_case():
+    components = [len(connected_components(g)) for g in BC_GRAPHS.values()]
+    isolated = [min(g.degrees()) == 0 for g in BC_GRAPHS.values()]
+    assert BC_GRAPHS["single-vertex"].n == 1
+    assert sum(c > 1 for c in components) >= 10
+    assert sum(isolated) >= 3
+    assert sum(g.m == g.n - 1 and c == 1 for g, c in zip(BC_GRAPHS.values(), components)) >= 3
+    # the default block size splits the large graphs, one with a shorter last block
+    big = [BC_GRAPHS["holme-kim500"], BC_GRAPHS["holme-kim600"]]
+    blocks = [centrality._BLOCK_SLOTS // (g.n + 2 * g.m) for g in big]
+    assert all(1 < b < g.n for b, g in zip(blocks, big))
+    assert any(g.n % b for b, g in zip(blocks, big))
+
+
+@pytest.mark.parametrize("block", (None, 1, 7), ids=lambda b: f"block{b or 'auto'}")
+@pytest.mark.parametrize("name", BC_GRAPHS)
+def test_betweenness_matches_seed_loop(monkeypatch, name, block):
+    graph = BC_GRAPHS[name]
+    if name not in BC_WANT:
+        BC_WANT[name] = betweenness_by_loop(graph).tobytes()
+    if block is not None:
+        monkeypatch.setattr(centrality, "_BLOCK_SLOTS", block * (graph.n + 2 * graph.m))
+    levels = centrality._brandes_by_levels(graph)
+    assert levels is not None and levels.tobytes() == BC_WANT[name]
+    assert betweenness_centrality(graph).scores.tobytes() == BC_WANT[name]
+
+
+@pytest.mark.parametrize("k, fast", ((52, True), (53, False)))
+def test_betweenness_falls_back_to_the_loop_at_2_53_paths(monkeypatch, k, fast):
+    graph = diamond_chain(k)
+    loop, calls = centrality._brandes_by_loop, []
+
+    def counted(g, exact):
+        calls.append(exact)
+        return loop(g, exact)
+
+    monkeypatch.setattr(centrality, "_brandes_by_loop", counted)
+    got = betweenness_centrality(graph).scores
+    assert calls == ([] if fast else [False])
+    assert got.tobytes() == betweenness_by_loop(graph).tobytes()
+    exact = betweenness_centrality(graph, exact=True).scores
+    assert calls[-1:] == [True]
+    assert np.allclose(got, exact, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("graph", GRAPHS + MULTI_COMPONENT, ids=lambda g: f"n{g.n}m{g.m}")
+def test_adjacency_matrix_matches_edge_loop(graph):
+    assert adjacency_matrix(graph).tobytes() == adjacency_of(graph).tobytes()
+
+
+def test_adjacency_matrix_matches_edge_loop_on_datasets():
+    for name in dataset_names():
+        graph = load_dataset(name)
+        got = adjacency_matrix(graph)
+        assert got.dtype == np.float64 and got.shape == (graph.n, graph.n)
+        assert got.tobytes() == adjacency_of(graph).tobytes()
