@@ -66,12 +66,12 @@ def eigenvector_centrality(
 ) -> CentralityReport:
     """Positive unit-Euclidean Perron vector of the adjacency matrix.
 
-    The shared shifted power iteration at order 2, on A + I: the +1 diagonal
-    shift makes the matrix primitive for every connected graph (bipartite
-    graphs included), so the iteration always converges. Collatz-Wielandt
-    ratios bracket the eigenvalue and the loop stops when the bracket is
-    narrower than tol; the report's meta carries the eigenvalue, iterations
-    and residual.
+    The shared shifted power kernel at order 2, on A + I, with the same
+    Anderson mixing as atec: the +1 diagonal shift makes the matrix primitive
+    for every connected graph (bipartite graphs included), so the plain
+    power step always converges. Collatz-Wielandt ratios bracket the
+    eigenvalue and the loop stops when the bracket is narrower than tol; the
+    report's meta carries the eigenvalue, iterations and residual.
     """
     if not is_connected(graph):
         raise NotConnectedError("eigenvector centrality needs a connected graph")

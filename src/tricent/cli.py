@@ -10,6 +10,7 @@ var TRICENT_TOL overrides the default solver tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -182,21 +183,27 @@ def _parse_measure(token: str, default_alpha: float | None):
     return name, alpha
 
 
-def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool):
+def _triangles_once(graph: Graph):
+    """A call that lists the graph's triangles the first time and reuses them."""
+    return functools.cache(functools.partial(enumerate_triangles, graph))
+
+
+def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool, triangles):
+    """One measure's report; triangles() returns the graph's triangle set."""
     if name == "atec":
         if alpha is None:
             raise UsageError("measure 'atec' needs --alpha (or atec:<alpha>)")
         if per_component:
             return atec_per_component(graph, alpha, tol=tol)
         _require_connected(graph)
-        return atec(graph, alpha, tol=tol)
+        return atec(graph, alpha, triangles=triangles(), tol=tol)
     if name == "dc":
         return degree_centrality(graph)
     if name == "ec":
         _require_connected(graph)
         return eigenvector_centrality(graph, tol=tol)
     if name == "tc":
-        return triangle_centrality(graph, enumerate_triangles(graph))
+        return triangle_centrality(graph, triangles())
     if name == "bc":
         return betweenness_centrality(graph)
     if name == "sc":
@@ -211,9 +218,10 @@ def cmd_centrality(args) -> int:
     if not tokens:
         raise UsageError("--measure needs at least one measure")
     reports = []
+    triangles = _triangles_once(graph)
     for token in tokens:
         name, alpha = _parse_measure(token, args.alpha)
-        report = _compute_measure(name, alpha, graph, tol, args.per_component)
+        report = _compute_measure(name, alpha, graph, tol, args.per_component, triangles)
         if args.unit_norm and report.normalization == "raw":
             report = report.unit_euclidean()
         reports.append(report)
@@ -251,7 +259,8 @@ def cmd_sweep(args) -> int:
         reports = [atec_per_component(graph, a, tol=tol) for a in alphas]
     else:
         _require_connected(graph)
-        reports = [atec(graph, a, tol=tol) for a in alphas]
+        triangles = enumerate_triangles(graph)
+        reports = [atec(graph, a, triangles=triangles, tol=tol) for a in alphas]
 
     order = sorted(range(graph.n), key=lambda i: label_sort_key(graph.labels[i]))
     matrix = np.stack([r.scores for r in reports], axis=1)  # vertices x alphas
@@ -438,9 +447,10 @@ def cmd_compare(args) -> int:
     if len(tokens) < 2:
         raise UsageError("compare needs at least two measures")
     names, vectors = [], []
+    triangles = _triangles_once(graph)
     for token in tokens:
         name, alpha = _parse_measure(token, args.alpha)
-        report = _compute_measure(name, alpha, graph, tol, per_component=False)
+        report = _compute_measure(name, alpha, graph, tol, False, triangles)
         display = name if alpha is None or name != "atec" else f"atec:{_fmt(alpha)}"
         names.append(display)
         vectors.append(report.scores)

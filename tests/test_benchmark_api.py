@@ -1,4 +1,5 @@
-"""The benchmark's workloads still find every tricent name they import.
+"""The benchmark's workloads still find every tricent name they import, and
+its traced steps still reproduce atec.
 
 perfbench/workloads.py is parsed, not imported, so this holds without the
 benchmark's own modules on the path.
@@ -7,6 +8,11 @@ benchmark's own modules on the path.
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+from tricent import atec, build_operator, enumerate_triangles, load_dataset, make_report, solve_spectral
+from tricent.tensor import DEFAULT_TOL
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -32,3 +38,40 @@ def test_every_name_the_benchmark_imports_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def atec_by_public_steps(graph, alpha, triangles):
+    """The steps the benchmark's traced ops run in place of atec: build the
+    operator, solve with a wrapper assigned to op.apply, build the report."""
+    op = build_operator(graph, triangles, alpha)
+    inner = op.apply
+    op.apply = lambda x: inner(x)
+    result = solve_spectral(op, tol=DEFAULT_TOL)
+    return make_report(
+        "atec",
+        {"alpha": op.alpha},
+        graph.labels,
+        result.x,
+        normalization="unit-euclidean",
+        meta={
+            "rho": result.rho,
+            "iterations": result.iterations,
+            "residual": result.residual,
+            "tolerance": DEFAULT_TOL,
+        },
+    )
+
+
+@pytest.mark.parametrize("name", ["karate", "paper-g14"])
+def test_public_steps_equal_atec_bitwise(name):
+    """Every benchmark op must equal its traced warm-up op bitwise; a solver
+    change that breaks that would fail every op of the benchmark."""
+    graph = load_dataset(name)
+    triangles = enumerate_triangles(graph)
+    for alpha in (1.0, 0.2, 0.01):
+        steps = atec_by_public_steps(graph, alpha, triangles)
+        plain = atec(graph, alpha, triangles=triangles)
+        assert steps.scores.tobytes() == plain.scores.tobytes()
+        assert steps.meta == plain.meta
+        assert steps.params == plain.params
+        assert steps.ranking == plain.ranking

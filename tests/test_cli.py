@@ -515,6 +515,30 @@ def test_cli_compare_run_skips_heavy_modules(tmp_path):
     assert (tmp_path / "out.csv").read_text().startswith("measure,atec:0.2,dc,tc,bc,sc\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--alphas", "1,0.8,0.6,0.4,0.2,0.01", "--top", "5"),
+        ("compare", "--measure", "atec:0.2,atec:1,dc,tc", "--method", "kendall"),
+        ("centrality", "--measure", "atec:0.2,tc,atec:1,dc"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_lists_triangles_once_per_graph(capsys, monkeypatch, argv):
+    """Every atec alpha and tc of one run share one triangle listing."""
+    listing, calls = tricent.graph.enumerate_triangles, []
+
+    def counted(graph):
+        calls.append(graph)
+        return listing(graph)
+
+    for module in (tricent.cli, tricent.tensor):
+        monkeypatch.setattr(module, "enumerate_triangles", counted)
+    code, out, _ = run(capsys, argv[0], "--input", str(dataset_path("karate")), *argv[1:])
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,8 +3,10 @@
 Each library path must reproduce its loop-based reference exactly: the same
 operator index arrays, bitwise-equal coefficients, equal ranking tuples,
 equal correlation floats, the same graphs from the one array builder (errors
-and warnings included), bitwise-equal results from the shared power kernel,
-and bitwise-equal adjacency matrices and betweenness scores.
+and warnings included), bitwise-equal results from the shared power kernel
+at Anderson depth 0, and bitwise-equal adjacency matrices and betweenness
+scores. The kernel's Anderson-mixed default is held to a tighter power-loop
+reference within stated tolerances instead.
 Graphs are seeded random graphs (triangle-free and single-edge ones included)
 over labels chosen to trip numeric label ordering: "01", "1" and "+1" all
 parse as the integer 1, "1_0" parses as 10.
@@ -540,7 +542,8 @@ MULTI_COMPONENT = multi_component_graphs()
 
 
 @pytest.mark.parametrize("graph", MULTI_COMPONENT, ids=lambda g: f"n{g.n}m{g.m}")
-def test_induced_subgraphs_and_atec_per_component_match_seed(graph):
+def test_induced_subgraphs_and_atec_per_component_match_seed(monkeypatch, graph):
+    monkeypatch.setattr(tensor, "_ANDERSON_DEPTH", 0)  # the seed's power iteration
     components = connected_components(graph)
     assert len(components) > 1
     for comp in components:
@@ -588,7 +591,8 @@ def assert_same_spectral(got, want):
 
 
 @pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
-def test_eigenvector_centrality_matches_seed_loop(graph):
+def test_eigenvector_centrality_matches_seed_loop(monkeypatch, graph):
+    monkeypatch.setattr(tensor, "_ANDERSON_DEPTH", 0)  # the seed's power iteration
     got = eigenvector_centrality(graph)
     want = eigenvector_centrality_by_loop(graph)
     assert got.scores.tobytes() == want.scores.tobytes()
@@ -607,7 +611,8 @@ def test_eigenvector_centrality_matches_seed_loop(graph):
 
 
 @pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
-def test_solve_spectral_matches_seed_loop(graph):
+def test_solve_spectral_matches_seed_loop(monkeypatch, graph):
+    monkeypatch.setattr(tensor, "_ANDERSON_DEPTH", 0)  # the seed's power iteration
     triangles = enumerate_triangles(graph)
     x0 = np.linspace(1.0, 2.0, graph.n)
     for alpha in (1.0, 0.5, 0.01):
@@ -637,8 +642,102 @@ def test_solver_calls_apply_through_the_instance(karate):
 
     op.apply = counted
     result = solve_spectral(op)
-    assert len(calls) == result.iterations + 1  # one per step, one for the residual
+    assert len(calls) == result.iterations  # one per step; the residual reuses the last
     assert calls[-1].tobytes() == result.x.tobytes()
+
+
+# --- the Anderson-mixed default against the power loop ----------------------
+
+# The power loop's own vector is only as close to the eigenvector as a bracket
+# of width tol allows (8.7e-10 off on a 30-vertex tree at alpha 0.01), so the
+# reference runs to a bracket 100 times narrower.
+REFERENCE_TOL = tensor.DEFAULT_TOL / 100
+
+
+def assert_anderson_result(got):
+    """Positive unit vector; a bracket narrower than tol around rho whose
+    recorded history narrows monotonically and ends at the bracket."""
+    tol = tensor.DEFAULT_TOL
+    assert np.all(got.x > 0)
+    assert abs(float(np.linalg.norm(got.x)) - 1.0) < 1e-12
+    lo, hi = got.bracket
+    assert lo <= got.rho <= hi and hi - lo < tol
+    assert got.residual <= 10 * tol
+    history = got.bracket_history
+    assert len(history) == got.iterations and history[-1] == got.bracket
+    for (lo0, hi0), (lo1, hi1) in zip(history, history[1:]):
+        assert lo0 <= lo1 and hi1 <= hi0
+
+
+def rounding_slack(value: float) -> float:
+    """Rounding error allowed in a computed Collatz-Wielandt ratio."""
+    return 64 * np.finfo(float).eps * abs(value)
+
+
+@pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_anderson_solve_matches_power_loop(graph):
+    triangles = enumerate_triangles(graph)
+    for alpha in (1.0, 0.5, 0.01):
+        op = AlphaTriangleOperator(graph, triangles, alpha)
+        got = solve_spectral(op, record_history=True)
+        want = solve_spectral_by_loop(op, tol=REFERENCE_TOL)
+        assert_anderson_result(got)
+        # both brackets enclose rho, so they overlap; the midpoints differ by < tol
+        assert max(got.bracket[0], want.bracket[0]) <= (
+            min(got.bracket[1], want.bracket[1]) + rounding_slack(want.rho)
+        )
+        assert abs(got.rho - want.rho) < tensor.DEFAULT_TOL
+        assert np.max(np.abs(got.x - want.x)) < 1e-9
+
+
+@pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_anderson_eigenvector_centrality_matches_power_loop(graph):
+    a = adjacency_matrix(graph)
+    matrix = types.SimpleNamespace(n=graph.n, apply=lambda x: a @ x)
+    got = tensor._shifted_power(matrix, 2, record_history=True)
+    assert_anderson_result(got)
+    lam = float(np.linalg.eigvalsh(a)[-1])
+    lo, hi = got.bracket
+    assert lo - rounding_slack(lam) <= lam <= hi + rounding_slack(lam)
+    report = eigenvector_centrality(graph)
+    assert report.scores.tobytes() == got.x.tobytes()
+    assert report.meta["eigenvalue"] == got.rho
+    want = eigenvector_centrality_by_loop(graph, tol=REFERENCE_TOL)
+    assert abs(got.rho - want.meta["eigenvalue"]) < tensor.DEFAULT_TOL
+    assert np.max(np.abs(got.x - want.scores)) < 1e-9
+
+
+def test_anderson_restarts_after_a_nonpositive_mixed_iterate(monkeypatch, g14, g14_triangles):
+    """On paper-g14 at alpha 0.01 one mixed iterate leaves the positive
+    orthant; the solve restarts from the plain step and still converges."""
+    mix, restarts = tensor._AndersonMixer.mix, []
+
+    def spied(self, x, gx):
+        had_history = self.f is not None
+        out = mix(self, x, gx)
+        if had_history and out is gx:  # a history existed, yet the plain step came back
+            restarts.append(self.count)  # differences kept after the restart
+        return out
+
+    monkeypatch.setattr(tensor._AndersonMixer, "mix", spied)
+    op = AlphaTriangleOperator(g14, g14_triangles, 0.01)
+    got = solve_spectral(op, record_history=True)
+    assert restarts and set(restarts) == {0}
+    assert_anderson_result(got)
+    want = solve_spectral_by_loop(op, tol=REFERENCE_TOL)
+    assert np.max(np.abs(got.x - want.x)) < 1e-9
+
+
+def test_anderson_converges_from_an_off_orbit_seed(g14, g14_triangles):
+    """From linspace(1, 2, 14) on paper-g14 at alpha 0.01 the power loop's
+    bracket is still about 2e-5 wide after 20 000 iterations; the mixed
+    solve converges."""
+    op = AlphaTriangleOperator(g14, g14_triangles, 0.01)
+    got = solve_spectral(op, x0=np.linspace(1.0, 2.0, 14), record_history=True)
+    assert got.iterations < 200
+    assert_anderson_result(got)
+    uniform_start = solve_spectral_by_loop(op)
+    assert np.max(np.abs(got.x - uniform_start.x)) < 1e-9
 
 
 # --- adjacency matrix and level-synchronous betweenness ----------------------
