@@ -38,7 +38,8 @@ class TriangleRanking:
 
     Ranks are competition ranks: scores equal within the tie tolerance share
     the smallest rank of their block and the next distinct score skips the
-    swallowed positions ("1, 2, 2, 2, 5").
+    swallowed positions ("1, 2, 2, 2, 5"). Inside a block, entries follow
+    their label-sorted triples in label_sort_key order, not their scores.
     """
 
     index: str

@@ -43,7 +43,7 @@ from .graph import (
     enumerate_triangles,
     load_edge_list,
 )
-from .report import CentralityReport, label_sort_key
+from .report import CentralityReport, label_order
 from .svgplot import scatter_matrix, sweep_plot
 from .tensor import DEFAULT_TOL, AlphaDomainError, ConvergenceError, atec, atec_per_component
 
@@ -132,6 +132,10 @@ def _write(text: str, path: str | None):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_json(payload, path: str | None):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def _multi_path(base: str, suffix: str) -> str:
@@ -228,8 +232,7 @@ def cmd_centrality(args) -> int:
 
     if args.format == "json":
         payload = [_report_json(r, digest, tol) for r in reports]
-        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True) + "\n"
-        _write(text, args.output)
+        _write_json(payload[0] if len(payload) == 1 else payload, args.output)
         return 0
     if args.output is None or len(reports) == 1:
         chunks = []
@@ -262,7 +265,7 @@ def cmd_sweep(args) -> int:
         triangles = enumerate_triangles(graph)
         reports = [atec(graph, a, triangles=triangles, tol=tol) for a in alphas]
 
-    order = sorted(range(graph.n), key=lambda i: label_sort_key(graph.labels[i]))
+    order = label_order(graph.labels)
     matrix = np.stack([r.scores for r in reports], axis=1)  # vertices x alphas
 
     if args.top is not None and args.top < 1:
@@ -294,7 +297,7 @@ def cmd_sweep(args) -> int:
                 [row[0]] + [_json_num(v) for v in row[1:]] for row in rows
             ],
         }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _write_json(payload, args.output)
     else:
         text = ",".join(header) + "\n"
         text += "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
@@ -355,8 +358,7 @@ def cmd_triangles(args) -> int:
 
     if args.format == "json":
         payload = [_ranking_json(r, digest) for r in rankings]
-        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True) + "\n"
-        _write(text, args.output)
+        _write_json(payload[0] if len(payload) == 1 else payload, args.output)
         return 0
     if args.output is None or len(rankings) == 1:
         chunks = [f"# index={r.index}\n" + _ranking_csv(r) for r in rankings]
@@ -384,7 +386,7 @@ def cmd_connectivity(args) -> int:
             "sizes_after": list(result.sizes_after),
         }
         if args.format == "json":
-            _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+            _write_json(payload, args.output)
         else:
             text = "removed,components_before,components_after,sizes_before,sizes_after\n"
             text += _csv_field(";".join(result.removed)) + ","
@@ -398,7 +400,7 @@ def cmd_connectivity(args) -> int:
 def cmd_stats(args) -> int:
     graph, digest = _load(args)
     stats = degree_and_triangle_stats(graph, enumerate_triangles(graph))
-    order = sorted(range(graph.n), key=lambda i: label_sort_key(graph.labels[i]))
+    order = label_order(graph.labels)
 
     def summary(values) -> dict:
         arr = sorted(values)
@@ -426,7 +428,7 @@ def cmd_stats(args) -> int:
                 for i in order
             ],
         }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _write_json(payload, args.output)
     else:
         lines = ["label,degree,triangles,neighbor_triangles"]
         lines += [
@@ -468,7 +470,7 @@ def cmd_compare(args) -> int:
             "measures": names,
             "matrix": [[_json_num(v) for v in row] for row in matrix],
         }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _write_json(payload, args.output)
     else:
         cells = [_csv_field(name) for name in names]
         lines = ["measure," + ",".join(cells)]

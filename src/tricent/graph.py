@@ -3,7 +3,9 @@
 Vertices carry arbitrary string labels externally and contiguous 0-based ids
 internally. Graph and TriangleSet instances are immutable once built, so they
 are safe to share across threads; their int64 index arrays (Graph.edge_array,
-TriangleSet.triangle_array) are read-only.
+TriangleSet.triangle_array) are read-only. A Graph finds its connected
+components on first use and keeps them: connected_components, is_connected
+and every connectivity check in the library read that one partition.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:
@@ -82,6 +84,17 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """edges as a read-only (m, 2) int64 array; the builder stores it."""
         return _readonly_index_array(self.edges, 2)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components as ascending vertex ids, ordered by
+        smallest member; one BFS per component, run on first use."""
+        parent = [-2] * self.n
+        return tuple(
+            tuple(sorted(_bfs(self.adjacency, root, parent)))
+            for root in range(self.n)
+            if parent[root] == -2
+        )
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -227,31 +240,35 @@ def dump_edge_list(graph: Graph) -> str:
     )
 
 
+def _bfs(adjacency: tuple[tuple[int, ...], ...], root: int, parent: list[int]) -> list[int]:
+    """Breadth-first search from root over the vertices with parent -2.
+
+    Sets parent[root] = -1 and, for every vertex it reaches, parent[w] to the
+    vertex it was reached from; frontiers are scanned in order, neighbours
+    ascending. Returns the reached vertices in visit order, root first.
+    """
+    parent[root] = -1
+    reached = [root]
+    frontier = [root]
+    while frontier:
+        nxt: list[int] = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if parent[w] == -2:
+                    parent[w] = u
+                    nxt.append(w)
+        reached += nxt
+        frontier = nxt
+    return reached
+
+
 def connected_components(graph: Graph) -> list[set[int]]:
     """Partition vertex ids by reachability, ordered by smallest member id."""
-    seen = [False] * graph.n
-    components: list[set[int]] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for w in graph.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        components.append(comp)
-    return components
+    return [set(comp) for comp in graph._components]
 
 
 def is_connected(graph: Graph) -> bool:
-    return len(connected_components(graph)) == 1
+    return len(graph._components) == 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,31 +19,38 @@ def label_sort_key(label: str):
         return (1, 0, label)
 
 
+def label_order(labels: Sequence[str]) -> list[int]:
+    """Indices of labels in ascending label_sort_key order."""
+    return sorted(range(len(labels)), key=lambda i: label_sort_key(labels[i]))
+
+
 def label_positions(labels: Sequence[str]) -> np.ndarray:
-    """pos[i] = place of labels[i] in ascending label_sort_key order."""
-    order = sorted(range(len(labels)), key=lambda i: label_sort_key(labels[i]))
+    """pos[i] = place of labels[i] in label_order(labels), its inverse."""
     pos = np.empty(len(labels), dtype=np.intp)
-    pos[order] = np.arange(len(labels))
+    pos[label_order(labels)] = np.arange(len(labels))
     return pos
 
 
 def competition_rank(
     scores: np.ndarray, tiebreak: Sequence[np.ndarray], tie_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order items by descending score, then by ascending tiebreak keys.
+    """Order items by descending score, each tie group by ascending tiebreak keys.
 
     tiebreak lists integer key arrays, most significant first. Returns
     (order, group, rank), aligned with order: consecutive scores within
     tie_tol chain into one tie group (group counts groups from 0), and every
     member of a group shares the competition rank of its first position, so
-    the next group skips the swallowed ranks ("1, 2, 2, 2, 5").
+    the next group skips the swallowed ranks ("1, 2, 2, 2, 5"). Inside a
+    group the keys alone decide, not scores that differ by rounding noise.
     """
-    order = np.lexsort((*reversed(tiebreak), -scores))
+    order = np.argsort(-scores, kind="stable")
     ordered = scores[order]
     new_group = np.ones(len(order), dtype=bool)
     np.greater(ordered[:-1] - ordered[1:], tie_tol, out=new_group[1:])
     group = np.cumsum(new_group) - 1
     rank = np.flatnonzero(new_group)[group] + 1
+    # group is nondecreasing, so this reorders within groups only
+    order = order[np.lexsort((*(key[order] for key in reversed(tiebreak)), group))]
     return order, group, rank
 
 
@@ -116,9 +123,7 @@ def rank_scores(
     tie_tol: float = VERTEX_TIE_TOL,
 ) -> tuple[RankedVertex, ...]:
     """Competition-rank scores descending; each tie group sorted by label."""
-    pos = label_positions(labels)
-    order, group, rank = competition_rank(scores, (pos,), tie_tol)
-    order = order[np.lexsort((pos[order], group))]
+    order, group, rank = competition_rank(scores, (label_positions(labels),), tie_tol)
     return tuple(
         RankedVertex(labels[i], s, r, g)
         for i, s, r, g in zip(

@@ -11,8 +11,10 @@ triangle tensor has value 1/2 at all six index permutations of each triangle.
 The spectral radius rho and its positive eigenvector x (A x^2 = rho x^[2],
 x^[2] the componentwise square) are found by the Ng-Qi-Zhou power iteration
 with an additive diagonal shift, which converges for every weakly irreducible
-nonnegative tensor; connectivity of the graph guarantees weak irreducibility
-for alpha in (0, 1]. Anderson mixing of depth _ANDERSON_DEPTH (Walker & Ni,
+nonnegative tensor. For alpha in (0, 1] the tensor's digraph is the graph's
+symmetric adjacency, so it is weakly irreducible exactly when the graph is
+connected: the operator builds on any graph, and solve_spectral (so atec)
+refuses a disconnected one. Anderson mixing of depth _ANDERSON_DEPTH (Walker & Ni,
 SIAM J. Numer. Anal. 49, 2011) extrapolates the power map from its recent
 iterates, which roughly halves the iterations of a sweep; a mixed iterate
 that leaves the positive orthant falls back to the plain step. The
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, TriangleSet, _induced, connected_components, enumerate_triangles
+from .graph import Graph, TriangleSet, _bfs, _induced, connected_components, enumerate_triangles
 from .report import CentralityReport, make_report
 
 DEFAULT_TOL = 1e-10
@@ -91,20 +93,14 @@ def _check_alpha(alpha: float) -> float:
 
 
 class AlphaTriangleOperator:
-    """Matrix-free x -> A x^2 for the alpha-triangle tensor of a graph.
+    """Matrix-free x -> A x^2 for the alpha-triangle tensor of any graph;
+    solve_spectral is where a disconnected graph is refused.
 
     Immutable after construction and safe to share across threads. apply()
     is order-2 homogeneous: op(t*x) = t^2 * op(x) for t >= 0.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        triangles: TriangleSet,
-        alpha: float,
-        *,
-        allow_disconnected: bool = False,
-    ):
+    def __init__(self, graph: Graph, triangles: TriangleSet, alpha: float):
         self.alpha = _check_alpha(alpha)
         if graph.n > MAX_VERTICES:
             raise ValueError(
@@ -114,15 +110,6 @@ class AlphaTriangleOperator:
         self.graph = graph
         self.triangles = triangles
         self.n = n = graph.n
-        if not allow_disconnected:
-            ncomp = len(connected_components(graph))
-            if ncomp != 1:
-                raise NotConnectedError(
-                    f"graph has {ncomp} components; the positive eigenvector is "
-                    "only unique on connected graphs (pass allow_disconnected "
-                    "to bypass, or solve per component)"
-                )
-
         u, v = graph.edge_array.T
         p, q, r = triangles.triangle_array.T
         keys = np.concatenate([
@@ -157,17 +144,9 @@ class AlphaTriangleOperator:
         return out
 
 
-def build_operator(
-    graph: Graph,
-    triangles: TriangleSet,
-    alpha: float,
-    *,
-    allow_disconnected: bool = False,
-) -> AlphaTriangleOperator:
-    """Construct the implicit alpha-triangle operator of a connected graph."""
-    return AlphaTriangleOperator(
-        graph, triangles, alpha, allow_disconnected=allow_disconnected
-    )
+def build_operator(graph: Graph, triangles: TriangleSet, alpha: float) -> AlphaTriangleOperator:
+    """The implicit alpha-triangle operator of a graph; solving needs it connected."""
+    return AlphaTriangleOperator(graph, triangles, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +185,15 @@ def solve_spectral(
     current iterate's bracket is narrower than tol. The reported bracket and
     bracket_history hold the running intersection of all iterates' brackets,
     which narrows monotonically, and rho is its midpoint. Raises
-    ConvergenceError with that bracket if the budget runs out.
+    ConvergenceError with that bracket if the budget runs out, and
+    NotConnectedError, before iterating, when op.graph is disconnected.
     """
+    ncomp = len(connected_components(op.graph))
+    if ncomp != 1:
+        raise NotConnectedError(
+            f"graph has {ncomp} components; the positive eigenvector is only "
+            "unique on connected graphs (solve per component)"
+        )
     return _shifted_power(
         op, 3, tol=tol, max_iter=max_iter, shift=shift, x0=x0, record_history=record_history
     )
@@ -464,50 +450,20 @@ class IrreducibilityCheck:
 
 
 def verify_weak_irreducibility(op: AlphaTriangleOperator) -> IrreducibilityCheck:
-    """Build the operator's associated digraph and check strong connectivity."""
-    n = op.n
-    out_arcs: list[set[int]] = [set() for _ in range(n)]
-    if op.alpha > 0.0:
-        for i, j in op.graph.edges:
-            out_arcs[i].add(j)
-            out_arcs[j].add(i)
-    if op.alpha < 1.0:
-        for p, q, r in op.triangles.triangles:
-            out_arcs[p].update((q, r))
-            out_arcs[q].update((p, r))
-            out_arcs[r].update((p, q))
-    in_arcs: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in out_arcs[i]:
-            in_arcs[j].add(i)
+    """Check that the operator's associated digraph is strongly connected.
 
-    def bfs(arcs: list[set[int]]) -> list[int]:
-        parent = [-2] * n  # -2 unreached, -1 root
-        parent[0] = -1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in sorted(arcs[u]):
-                    if parent[w] == -2:
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
-        return parent
-
-    fwd = bfs(out_arcs)
-    bwd = bfs(in_arcs)
-    witness = None
-    for v in range(n):
-        if fwd[v] == -2:
-            witness = (op.graph.labels[0], op.graph.labels[v])
-            break
-        if bwd[v] == -2:
-            witness = (op.graph.labels[v], op.graph.labels[0])
-            break
+    For alpha in (0, 1] that digraph is the graph's symmetric adjacency: each
+    edge gives arcs both ways, and each triangle arc joins two vertices that
+    share an edge. So one BFS from vertex 0 (parent -1; -2 marks unreached)
+    certifies both directions, and the two parent arrays are the same.
+    """
+    parent = [-2] * op.n
+    _bfs(op.graph.adjacency, 0, parent)
+    unreached = next((v for v, p in enumerate(parent) if p == -2), None)
+    witness = None if unreached is None else (op.graph.labels[0], op.graph.labels[unreached])
     return IrreducibilityCheck(
         strongly_connected=witness is None,
         witness=witness,
-        forward_parents=tuple(fwd),
-        backward_parents=tuple(bwd),
+        forward_parents=tuple(parent),
+        backward_parents=tuple(parent),
     )

@@ -6,8 +6,9 @@ betweenness by explicit shortest-path enumeration over exact rationals,
 subgraph centrality by a truncated Taylor series of exp(A), the alpha-triangle
 operator by a dense tensor and a triple-loop contraction. The loop-based
 operator build, the competition rankings, the rank correlations, the per-caller
-graph builders, the two power loops, the adjacency matrix and the per-source
-betweenness loop are the reference the library versions must match exactly.
+graph builders, the two power loops, the adjacency matrix, the per-source
+betweenness loop and the two-digraph weak-irreducibility check are the
+reference the library versions must match exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from tricent import (
     EdgeListParseError,
     Graph,
     GraphValidationError,
+    IrreducibilityCheck,
     NotConnectedError,
     RankedTriangle,
     RankedVertex,
@@ -88,6 +90,58 @@ def components_by_bfs(graph: Graph) -> list[set[int]]:
                     queue.append(w)
         out.append(comp)
     return out
+
+
+def weak_irreducibility_by_digraph(op) -> IrreducibilityCheck:
+    """verify_weak_irreducibility as first written: build the operator's
+    associated digraph from its edge and triangle arcs, then BFS it forwards
+    and backwards from vertex 0."""
+    n = op.n
+    out_arcs: list[set[int]] = [set() for _ in range(n)]
+    if op.alpha > 0.0:
+        for i, j in op.graph.edges:
+            out_arcs[i].add(j)
+            out_arcs[j].add(i)
+    if op.alpha < 1.0:
+        for p, q, r in op.triangles.triangles:
+            out_arcs[p].update((q, r))
+            out_arcs[q].update((p, r))
+            out_arcs[r].update((p, q))
+    in_arcs: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        for j in out_arcs[i]:
+            in_arcs[j].add(i)
+
+    def bfs(arcs: list[set[int]]) -> list[int]:
+        parent = [-2] * n  # -2 unreached, -1 root
+        parent[0] = -1
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in sorted(arcs[u]):
+                    if parent[w] == -2:
+                        parent[w] = u
+                        nxt.append(w)
+            frontier = nxt
+        return parent
+
+    fwd = bfs(out_arcs)
+    bwd = bfs(in_arcs)
+    witness = None
+    for v in range(n):
+        if fwd[v] == -2:
+            witness = (op.graph.labels[0], op.graph.labels[v])
+            break
+        if bwd[v] == -2:
+            witness = (op.graph.labels[v], op.graph.labels[0])
+            break
+    return IrreducibilityCheck(
+        strongly_connected=witness is None,
+        witness=witness,
+        forward_parents=tuple(fwd),
+        backward_parents=tuple(bwd),
+    )
 
 
 def betweenness_by_enumeration(graph: Graph) -> list[Fraction]:
@@ -352,21 +406,25 @@ def rank_triangles(
         )
         for p, q, r in triangles.triangles
     ]
-    order = sorted(
-        range(len(triangles)),
-        key=lambda t: (-scores[t], [label_sort_key(lab) for lab in triples[t]]),
-    )
-    entries: list[RankedTriangle] = []
-    position = 0
-    block_rank = 0
+    def triple_key(t: int) -> list:
+        return [label_sort_key(lab) for lab in triples[t]]
+
+    order = sorted(range(len(triangles)), key=lambda t: (-scores[t], triple_key(t)))
+    groups: list[list[int]] = []
     prev = None
     for t in order:
-        position += 1
         s = float(scores[t])
         if prev is None or prev - s > tie_tol:
-            block_rank = position
-        entries.append(RankedTriangle(triples[t], s, block_rank))
+            groups.append([])
+        groups[-1].append(t)
         prev = s
+    entries: list[RankedTriangle] = []
+    position = 1
+    for members in groups:
+        members.sort(key=triple_key)
+        for t in members:
+            entries.append(RankedTriangle(triples[t], float(scores[t]), position))
+        position += len(members)
     return TriangleRanking(index=index, params=dict(params), entries=tuple(entries))
 
 

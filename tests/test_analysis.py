@@ -51,6 +51,15 @@ class TestTriangleImportance:
         for pos, e in enumerate(ranking.entries, start=1):
             assert e.rank <= pos
 
+    def test_tie_group_lists_triples_in_order_whatever_the_last_bits(self):
+        # triangles (1, 2, 3) and (1, 2, 4); the second scores 1 ulp higher
+        g = Graph.from_edge_labels([("1", "2"), ("1", "3"), ("2", "3"), ("1", "4"), ("2", "4")])
+        scores = np.array([0.0, 0.0, 0.1, np.nextafter(0.1, 1.0)])
+        ranking = triangle_importance(g, enumerate_triangles(g), scores)
+        assert ranking.top(2) == [("1", "2", "3"), ("1", "2", "4")]
+        assert ranking.entries[0].score < ranking.entries[1].score
+        assert [e.rank for e in ranking.entries] == [1, 1]
+
     def test_exact_ties_share_rank(self, g14):
         # orbit symmetry makes triangles {1,2,3} and {5,6,7} score equally
         tris = enumerate_triangles(g14)

@@ -1,5 +1,6 @@
-"""The benchmark's workloads still find every tricent name they import, and
-its traced steps still reproduce atec.
+"""The benchmark's workloads still find every tricent name they import, call
+each with arguments its signature accepts, and its traced steps still
+reproduce atec.
 
 perfbench/workloads.py is parsed, not imported, so this holds without the
 benchmark's own modules on the path.
@@ -7,6 +8,7 @@ benchmark's own modules on the path.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,42 @@ def test_every_name_the_benchmark_imports_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def tricent_calls() -> list[tuple[str, int, list[str], int]]:
+    """(name, positional count, keyword names, line) of every call the
+    workloads make to a name imported from tricent, either directly or
+    through the tracer as tr.call(span, fn, *args, **kwargs)."""
+    imported = {name for _, name in tricent_imports()}
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args = node.func, node.args
+        if isinstance(fn, ast.Attribute) and fn.attr == "call" and len(args) >= 2:
+            fn, args = args[1], args[2:]
+        if isinstance(fn, ast.Name) and fn.id in imported:
+            # unpacked arguments could not be counted here
+            assert not any(isinstance(a, ast.Starred) for a in args), node.lineno
+            assert all(k.arg is not None for k in node.keywords), node.lineno
+            calls.append((fn.id, len(args), [k.arg for k in node.keywords], node.lineno))
+    return calls
+
+
+def test_every_call_the_benchmark_makes_fits_the_signature():
+    calls = tricent_calls()
+    assert {"atec", "build_operator", "solve_spectral", "make_report"} <= {c[0] for c in calls}
+    functions = {
+        name: getattr(importlib.import_module(module), name) for module, name in tricent_imports()
+    }
+    rejected = []
+    for name, positional, keywords, line in calls:
+        try:
+            inspect.signature(functions[name]).bind(*range(positional), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            rejected.append(f"workloads.py:{line}: {name}: {exc}")
+    assert rejected == []
 
 
 def atec_by_public_steps(graph, alpha, triangles):

@@ -539,6 +539,23 @@ def test_cli_lists_triangles_once_per_graph(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+def test_cli_sweep_runs_the_component_bfs_once(capsys, monkeypatch):
+    """The connectivity check and all six atec solves read one partition."""
+    bfs, roots = tricent.graph._bfs, []
+
+    def counted(adjacency, root, parent):
+        roots.append(root)
+        return bfs(adjacency, root, parent)
+
+    monkeypatch.setattr(tricent.graph, "_bfs", counted)
+    code, out, _ = run(
+        capsys, "sweep", "--input", str(dataset_path("karate")),
+        "--alphas", "1,0.8,0.6,0.4,0.2,0.01",
+    )
+    assert code == 0 and out
+    assert roots == [0]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

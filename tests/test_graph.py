@@ -3,16 +3,19 @@ import random
 
 import pytest
 
+import tricent
 from tricent import (
     DuplicateEdgeWarning,
     EdgeListParseError,
     Graph,
     GraphValidationError,
+    atec,
     connected_components,
     degree_and_triangle_stats,
     dump_edge_list,
     enumerate_triangles,
     is_connected,
+    load_dataset,
     load_edge_list,
     remove_vertices,
 )
@@ -237,3 +240,23 @@ class TestDegreeTriangleStats:
 def test_is_connected(k3):
     assert is_connected(k3)
     assert not is_connected(Graph.from_edge_labels([("a", "b"), ("c", "d")]))
+
+
+def test_component_bfs_runs_once_per_graph(monkeypatch):
+    """Six atec solves on one Graph share one component BFS, and every
+    caller gets its own copy of the cached partition."""
+    bfs, roots = tricent.graph._bfs, []
+
+    def counted(adjacency, root, parent):
+        roots.append(root)
+        return bfs(adjacency, root, parent)
+
+    monkeypatch.setattr(tricent.graph, "_bfs", counted)
+    g = load_dataset("karate")  # a fresh Graph: nothing cached yet
+    triangles = enumerate_triangles(g)
+    for alpha in (1.0, 0.8, 0.6, 0.4, 0.2, 0.01):
+        atec(g, alpha, triangles=triangles)
+    assert roots == [0]
+    connected_components(g)[0].clear()
+    assert connected_components(g) == [set(range(g.n))] and is_connected(g)
+    assert roots == [0]

@@ -26,6 +26,7 @@ from tricent import (
     ConvergenceError,
     Graph,
     adjacency_matrix,
+    atec,
     atec_per_component,
     betweenness_centrality,
     connected_components,
@@ -33,6 +34,7 @@ from tricent import (
     degree_centrality,
     eigenvector_centrality,
     enumerate_triangles,
+    is_connected,
     load_dataset,
     load_edge_list,
     make_report,
@@ -40,6 +42,7 @@ from tricent import (
     remove_vertices,
     solve_spectral,
     triangle_importance,
+    verify_weak_irreducibility,
 )
 from tricent import analysis, centrality, tensor
 from tricent.analysis import RANK_TIE_TOL, TRIANGLE_TIE_TOL, _rank_triangles
@@ -67,6 +70,7 @@ from oracles import (
     rank_scores,
     rank_triangles,
     solve_spectral_by_loop,
+    weak_irreducibility_by_digraph,
 )
 
 ADVERSARIAL_LABELS = ["01", "1", "+1", "1_0", "-3", "a", "B", "é"]
@@ -150,7 +154,7 @@ def test_sample_covers_triangle_free_and_triangle_rich_graphs():
 def test_operator_build_matches_loop_build(graph):
     triangles = enumerate_triangles(graph)
     for alpha in ALPHAS:
-        op = AlphaTriangleOperator(graph, triangles, alpha, allow_disconnected=True)
+        op = AlphaTriangleOperator(graph, triangles, alpha)
         rows, cols_j, cols_k, coeffs = operator_arrays_by_loops(graph, triangles, alpha)
         for got, want in ((op._rows, rows), (op._cols_j, cols_j), (op._cols_k, cols_k)):
             assert got.dtype == want.dtype
@@ -565,6 +569,38 @@ def test_induced_subgraphs_and_atec_per_component_match_seed(monkeypatch, graph)
         assert report.meta["iterations"] == iterations
         assert report.meta["residual"].hex() == residual.hex()
         assert report.meta["components"] == len(components)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [g for g in GRAPHS if is_connected(g)] + [load_dataset(name) for name in dataset_names()],
+    ids=lambda g: f"n{g.n}m{g.m}",
+)
+def test_atec_per_component_equals_atec_on_connected_graphs(graph):
+    triangles = enumerate_triangles(graph)
+    for alpha in (1.0, 0.5, 0.01):
+        assert (
+            atec_per_component(graph, alpha).scores.tobytes()
+            == atec(graph, alpha, triangles=triangles).scores.tobytes()
+        )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    GRAPHS + MULTI_COMPONENT + [load_dataset(name) for name in dataset_names()],
+    ids=lambda g: f"n{g.n}m{g.m}",
+)
+def test_weak_irreducibility_matches_digraph_oracle(graph):
+    """One BFS over the adjacency gives every field the two-digraph check did."""
+    triangles = enumerate_triangles(graph)
+    for alpha in (1.0, 0.5, 0.01):
+        op = AlphaTriangleOperator(graph, triangles, alpha)
+        got = verify_weak_irreducibility(op)
+        want = weak_irreducibility_by_digraph(op)
+        assert got.strongly_connected == want.strongly_connected == is_connected(graph)
+        assert got.witness == want.witness
+        assert got.forward_parents == want.forward_parents
+        assert got.backward_parents == want.backward_parents
 
 
 # --- one shifted power kernel -----------------------------------------------

@@ -27,8 +27,8 @@ from oracles import (
 )
 
 
-def operator_for(graph, alpha, **kw):
-    return build_operator(graph, enumerate_triangles(graph), alpha, **kw)
+def operator_for(graph, alpha):
+    return build_operator(graph, enumerate_triangles(graph), alpha)
 
 
 class TestBuildAndApply:
@@ -70,12 +70,14 @@ class TestBuildAndApply:
         with pytest.raises(AlphaDomainError):
             operator_for(k3, alpha)
 
-    def test_disconnected_rejected_without_flag(self):
+    def test_operator_builds_on_disconnected_graph_but_solve_rejects_it(self):
         g = Graph.from_edge_labels([("a", "b"), ("c", "d")])
-        with pytest.raises(NotConnectedError, match="2 components"):
-            operator_for(g, 0.5)
-        op = operator_for(g, 0.5, allow_disconnected=True)
+        op = operator_for(g, 0.5)
         assert op.n == 4
+        with pytest.raises(NotConnectedError, match="2 components"):
+            solve_spectral(op)
+        with pytest.raises(NotConnectedError, match="2 components"):
+            atec(g, 0.5)
 
 
 class TestMaterializedOracle:
@@ -108,9 +110,11 @@ class TestMaterializedOracle:
 
 class TestSolveSpectral:
     def test_nonpositive_iterate_raises(self):
-        g = Graph.from_edge_labels([("a", "b"), ("b", "c"), ("c", "a"), ("x", "y")])
-        op = operator_for(g, 0.5, allow_disconnected=True)
-        # x_j^2 underflows to 0 on the {x, y} component, so y_j = 0 there
+        # a triangle with the pendant path c - x - y
+        g = Graph.from_edge_labels([("a", "b"), ("b", "c"), ("c", "a"), ("c", "x"), ("x", "y")])
+        op = operator_for(g, 0.5)
+        # the seed's x entry squared underflows to 0, and x is y's only
+        # neighbour, so the first iterate is 0 at y
         with pytest.raises(RuntimeError, match="nonpositive iterate"):
             solve_spectral(op, x0=np.array([1.0, 1.0, 1.0, 1e-200, 1e-200]))
 
@@ -301,7 +305,7 @@ class TestWeakIrreducibility:
 
     def test_disconnected_witness(self):
         g = Graph.from_edge_labels([("a", "b"), ("c", "d")])
-        check = verify_weak_irreducibility(operator_for(g, 0.5, allow_disconnected=True))
+        check = verify_weak_irreducibility(operator_for(g, 0.5))
         assert not check
         assert check.witness == ("a", "c")
 
