@@ -43,7 +43,7 @@ from .graph import (
     enumerate_triangles,
     load_edge_list,
 )
-from .report import CentralityReport, label_order
+from .report import label_order
 from .svgplot import scatter_matrix, sweep_plot
 from .tensor import DEFAULT_TOL, AlphaDomainError, ConvergenceError, atec, atec_per_component
 
@@ -60,15 +60,41 @@ def _fmt(x: float) -> str:
     return f"{float(x):.10g}"
 
 
-def _json_num(x: float) -> float:
-    return float(_fmt(x))
-
-
 def _csv_field(text: str) -> str:
     """text as one CSV field, quoted per RFC 4180 when it needs quoting."""
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: floats at 10 significant digits, tuples ;-joined."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, tuple):
+        value = ";".join(map(str, value))
+    return _csv_field(str(value))
+
+
+def _csv(columns, rows) -> str:
+    """A CSV header line and one line per row."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (columns, *rows))
+
+
+def _json_cell(value):
+    """One JSON value: floats at 10 significant digits, tuples as lists, dicts by value."""
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, tuple):
+        return [_json_cell(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_cell(v) for k, v in value.items()}
+    return value
+
+
+def _json_rows(columns, rows) -> list[dict]:
+    """One JSON object per row, keyed by column."""
+    return [dict(zip(columns, map(_json_cell, row))) for row in rows]
 
 
 def _label_list(text: str) -> list[str]:
@@ -113,12 +139,7 @@ def _load(args) -> tuple[Graph, str]:
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        graph = load_edge_list(path, dedupe=True)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return graph, digest
+    return load_edge_list(path, dedupe=True), digest
 
 
 def _require_connected(graph: Graph):
@@ -143,41 +164,28 @@ def _multi_path(base: str, suffix: str) -> str:
     return str(p.with_name(f"{p.stem}-{suffix}{p.suffix}"))
 
 
-def _report_csv(report: CentralityReport) -> str:
-    lines = ["label,score,rank,tie_group"]
-    lines += [
-        f"{_csv_field(e.label)},{_fmt(e.score)},{e.rank},{e.tie_group}"
-        for e in report.ranking
-    ]
-    return "\n".join(lines) + "\n"
+def _write_tables(args, tables):
+    """Write (comment, suffix, meta, columns, rows) tables in args.format.
 
-
-def _report_json(report: CentralityReport, dataset_hash: str, tol: float) -> dict:
-    meta = {
-        "measure": report.measure,
-        "normalization": report.normalization,
-        "tolerance": _json_num(tol),
-        "dataset_hash": dataset_hash,
-    }
-    for key in ("alpha",):
-        if key in report.params:
-            meta[key] = _json_num(report.params[key])
-    for key in ("iterations", "residual", "rho", "eigenvalue", "components"):
-        if key in report.meta:
-            value = report.meta[key]
-            meta[key] = _json_num(value) if isinstance(value, float) else value
-    return {
-        "meta": meta,
-        "rows": [
-            {
-                "label": e.label,
-                "score": _json_num(e.score),
-                "rank": e.rank,
-                "tie_group": e.tie_group,
-            }
-            for e in report.ranking
-        ],
-    }
+    JSON is one {"meta", "rows"} document per table, a list when there are
+    several. CSV is one stream of tables, each under its "# comment" line,
+    unless --output names a file and there are several tables: then each
+    table goes bare to its own file, named by its suffix.
+    """
+    if args.format == "json":
+        docs = [
+            {"meta": _json_cell(meta), "rows": _json_rows(columns, rows)}
+            for _, _, meta, columns, rows in tables
+        ]
+        _write_json(docs[0] if len(docs) == 1 else docs, args.output)
+    elif args.output is None or len(tables) == 1:
+        text = "".join(
+            f"# {comment}\n" + _csv(columns, rows) for comment, _, _, columns, rows in tables
+        )
+        _write(text, args.output)
+    else:
+        for _, suffix, _, columns, rows in tables:
+            _write(_csv(columns, rows), _multi_path(args.output, suffix))
 
 
 def _parse_measure(token: str, default_alpha: float | None):
@@ -221,34 +229,31 @@ def cmd_centrality(args) -> int:
     tokens = [t for t in args.measure.split(",") if t.strip()]
     if not tokens:
         raise UsageError("--measure needs at least one measure")
-    reports = []
+    tables = []
     triangles = _triangles_once(graph)
     for token in tokens:
         name, alpha = _parse_measure(token, args.alpha)
         report = _compute_measure(name, alpha, graph, tol, args.per_component, triangles)
         if args.unit_norm and report.normalization == "raw":
             report = report.unit_euclidean()
-        reports.append(report)
-
-    if args.format == "json":
-        payload = [_report_json(r, digest, tol) for r in reports]
-        _write_json(payload[0] if len(payload) == 1 else payload, args.output)
-        return 0
-    if args.output is None or len(reports) == 1:
-        chunks = []
-        for report in reports:
-            header = f"# measure={report.measure}"
-            if "alpha" in report.params:
-                header += f" alpha={_fmt(report.params['alpha'])}"
-            header += f" normalization={report.normalization}"
-            chunks.append(header + "\n" + _report_csv(report))
-        _write("".join(chunks), args.output)
-    else:
-        for report in reports:
-            suffix = report.measure
-            if "alpha" in report.params:
-                suffix += f"-{_fmt(report.params['alpha'])}"
-            _write(_report_csv(report), _multi_path(args.output, suffix))
+        meta = {
+            "measure": report.measure,
+            "normalization": report.normalization,
+            "tolerance": tol,
+            "dataset_hash": digest,
+        }
+        comment, suffix = f"measure={report.measure}", report.measure
+        if "alpha" in report.params:
+            meta["alpha"] = report.params["alpha"]
+            comment += f" alpha={_fmt(meta['alpha'])}"
+            suffix += f"-{_fmt(meta['alpha'])}"
+        comment += f" normalization={report.normalization}"
+        for key in ("iterations", "residual", "rho", "eigenvalue", "components"):
+            if key in report.meta:
+                meta[key] = report.meta[key]
+        rows = [(e.label, e.score, e.rank, e.tie_group) for e in report.ranking]
+        tables.append((comment, suffix, meta, ("label", "score", "rank", "tie_group"), rows))
+    _write_tables(args, tables)
     return 0
 
 
@@ -272,36 +277,24 @@ def cmd_sweep(args) -> int:
         raise UsageError("--top must be a positive integer")
     if args.top:
         top = min(args.top, graph.n)
-        header = ["alpha"] + [f"rank{k}" for k in range(1, top + 1)]
-        rows = [
-            [_fmt(a)] + reports[col].top(top)
-            for col, a in enumerate(alphas)
-        ]
+        columns = ["alpha", *(f"rank{k}" for k in range(1, top + 1))]
+        # alpha stays text here: it labels a row of labels, not a score
+        rows = [(_fmt(a), *report.top(top)) for a, report in zip(alphas, reports)]
     else:
-        header = ["label"] + [f"alpha={_fmt(a)}" for a in alphas]
-        rows = [
-            [graph.labels[i]] + [_fmt(matrix[i, col]) for col in range(len(alphas))]
-            for i in order
-        ]
+        columns = ["label", *(f"alpha={_fmt(a)}" for a in alphas)]
+        rows = [(graph.labels[i], *matrix[i]) for i in order]
 
     if args.format == "json":
-        payload = {
-            "meta": {
-                "measure": "atec-sweep",
-                "alphas": [_json_num(a) for a in alphas],
-                "tolerance": _json_num(tol),
-                "dataset_hash": digest,
-            },
-            "columns": header,
-            "rows": rows if args.top else [
-                [row[0]] + [_json_num(v) for v in row[1:]] for row in rows
-            ],
+        meta = {
+            "measure": "atec-sweep",
+            "alphas": tuple(alphas),
+            "tolerance": tol,
+            "dataset_hash": digest,
         }
-        _write_json(payload, args.output)
+        rows = [_json_cell(row) for row in rows]
+        _write_json({"meta": _json_cell(meta), "columns": columns, "rows": rows}, args.output)
     else:
-        text = ",".join(header) + "\n"
-        text += "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
-        _write(text, args.output)
+        _write(_csv(columns, rows), args.output)
 
     if args.svg:
         labels = [graph.labels[i] for i in order]
@@ -309,34 +302,6 @@ def cmd_sweep(args) -> int:
             sweep_plot(alphas, labels, matrix[order, :])
         )
     return 0
-
-
-def _ranking_csv(ranking) -> str:
-    lines = ["v1,v2,v3,score,rank"]
-    lines += [
-        ",".join(map(_csv_field, e.vertices)) + f",{_fmt(e.score)},{e.rank}"
-        for e in ranking.entries
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _ranking_json(ranking, digest: str) -> dict:
-    meta = {"index": ranking.index, "dataset_hash": digest}
-    if "alpha" in ranking.params:
-        meta["alpha"] = _json_num(ranking.params["alpha"])
-    return {
-        "meta": meta,
-        "rows": [
-            {
-                "v1": e.vertices[0],
-                "v2": e.vertices[1],
-                "v3": e.vertices[2],
-                "score": _json_num(e.score),
-                "rank": e.rank,
-            }
-            for e in ranking.entries
-        ],
-    }
 
 
 def cmd_triangles(args) -> int:
@@ -356,16 +321,15 @@ def cmd_triangles(args) -> int:
         if args.with_cycle_index:
             rankings.append(cycle_index_fiedler(graph, triangles))
 
-    if args.format == "json":
-        payload = [_ranking_json(r, digest) for r in rankings]
-        _write_json(payload[0] if len(payload) == 1 else payload, args.output)
-        return 0
-    if args.output is None or len(rankings) == 1:
-        chunks = [f"# index={r.index}\n" + _ranking_csv(r) for r in rankings]
-        _write("".join(chunks), args.output)
-    else:
-        for ranking in rankings:
-            _write(_ranking_csv(ranking), _multi_path(args.output, ranking.index))
+    tables = []
+    columns = ("v1", "v2", "v3", "score", "rank")
+    for ranking in rankings:
+        meta = {"index": ranking.index, "dataset_hash": digest}
+        if "alpha" in ranking.params:
+            meta["alpha"] = ranking.params["alpha"]
+        rows = [(*e.vertices, e.score, e.rank) for e in ranking.entries]
+        tables.append((f"index={ranking.index}", ranking.index, meta, columns, rows))
+    _write_tables(args, tables)
     return 0
 
 
@@ -376,24 +340,13 @@ def cmd_connectivity(args) -> int:
         raise UsageError("--remove needs at least one vertex label")
     result = removal_experiment(graph, remove)
     print(result.summary)
-    if args.format == "json" or args.output:
-        payload = {
-            "meta": {"dataset_hash": digest},
-            "removed": list(result.removed),
-            "components_before": result.components_before,
-            "components_after": result.components_after,
-            "sizes_before": list(result.sizes_before),
-            "sizes_after": list(result.sizes_after),
-        }
-        if args.format == "json":
-            _write_json(payload, args.output)
-        else:
-            text = "removed,components_before,components_after,sizes_before,sizes_after\n"
-            text += _csv_field(";".join(result.removed)) + ","
-            text += f"{result.components_before},{result.components_after},"
-            text += ";".join(map(str, result.sizes_before)) + ","
-            text += ";".join(map(str, result.sizes_after)) + "\n"
-            _write(text, args.output)
+    columns = ("removed", "components_before", "components_after", "sizes_before", "sizes_after")
+    row = tuple(getattr(result, column) for column in columns)
+    if args.format == "json":
+        fields = _json_cell(dict(zip(columns, row)))
+        _write_json({"meta": {"dataset_hash": digest}, **fields}, args.output)
+    elif args.output:
+        _write(_csv(columns, [row]), args.output)
     return 0
 
 
@@ -415,30 +368,20 @@ def cmd_stats(args) -> int:
         "triangles": summary(stats.triangle_count),
         "neighbor_triangles": summary(stats.neighbor_triangles),
     }
+    columns = ("label", "degree", "triangles", "neighbor_triangles")
+    rows = [
+        (stats.labels[i], stats.degree[i], stats.triangle_count[i], stats.neighbor_triangles[i])
+        for i in order
+    ]
     if args.format == "json":
-        payload = {
-            "meta": {"dataset_hash": digest, "summary": summaries},
-            "rows": [
-                {
-                    "label": stats.labels[i],
-                    "degree": stats.degree[i],
-                    "triangles": stats.triangle_count[i],
-                    "neighbor_triangles": stats.neighbor_triangles[i],
-                }
-                for i in order
-            ],
-        }
-        _write_json(payload, args.output)
+        meta = {"dataset_hash": digest, "summary": summaries}
+        _write_json({"meta": _json_cell(meta), "rows": _json_rows(columns, rows)}, args.output)
     else:
-        lines = ["label,degree,triangles,neighbor_triangles"]
-        lines += [
-            f"{_csv_field(stats.labels[i])},{stats.degree[i]},{stats.triangle_count[i]},"
-            f"{stats.neighbor_triangles[i]}"
-            for i in order
-        ]
-        for key, s in summaries.items():
-            lines.append(f"# {key} min={s['min']} median={s['median']} max={s['max']}")
-        _write("\n".join(lines) + "\n", args.output)
+        text = _csv(columns, rows) + "".join(
+            f"# {key} min={s['min']} median={s['median']} max={s['max']}\n"
+            for key, s in summaries.items()
+        )
+        _write(text, args.output)
     return 0
 
 
@@ -464,19 +407,13 @@ def cmd_compare(args) -> int:
                 vectors[i], vectors[j], method=args.method
             )
 
+    rows = [(name, *matrix[i]) for i, name in enumerate(names)]
     if args.format == "json":
-        payload = {
-            "meta": {"method": args.method, "dataset_hash": digest},
-            "measures": names,
-            "matrix": [[_json_num(v) for v in row] for row in matrix],
-        }
+        meta = {"method": args.method, "dataset_hash": digest}
+        payload = {"meta": meta, "measures": names, "matrix": [_json_cell(r[1:]) for r in rows]}
         _write_json(payload, args.output)
     else:
-        cells = [_csv_field(name) for name in names]
-        lines = ["measure," + ",".join(cells)]
-        for i, cell in enumerate(cells):
-            lines.append(cell + "," + ",".join(_fmt(v) for v in matrix[i]))
-        _write("\n".join(lines) + "\n", args.output)
+        _write(_csv(("measure", *names), rows), args.output)
 
     if args.svg:
         Path(args.svg).write_text(scatter_matrix(names, vectors))
@@ -548,17 +485,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (UsageError, AlphaDomainError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    error = None
+    # every warning of the run becomes one "warning: <message>" line, ahead of
+    # any error; "always" so repeated runs in one process still report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code = args.func(args)
+        except (UsageError, AlphaDomainError) as exc:
+            code, error = 2, f"usage error: {exc}"
+        except ConvergenceError as exc:
+            code, error = 4, f"numerical error: {exc}"
+        except (ValueError, KeyError, OSError) as exc:
+            code, error = 3, f"error: {exc}"
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -359,8 +359,6 @@ def atec(
     *,
     triangles: TriangleSet | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    shift: float = DEFAULT_SHIFT,
 ) -> CentralityReport:
     """Alpha-triangle eigenvector centrality of a connected graph.
 
@@ -371,7 +369,7 @@ def atec(
     if triangles is None:
         triangles = enumerate_triangles(graph)
     op = build_operator(graph, triangles, alpha)
-    result = solve_spectral(op, tol=tol, max_iter=max_iter, shift=shift)
+    result = solve_spectral(op, tol=tol)
     return make_report(
         "atec",
         {"alpha": op.alpha},
@@ -392,8 +390,6 @@ def atec_per_component(
     alpha: float,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    shift: float = DEFAULT_SHIFT,
 ) -> CentralityReport:
     """atec computed independently on every connected component.
 
@@ -410,7 +406,7 @@ def atec_per_component(
         sub = graph if len(comp) == graph.n else _induced(graph, keep)
         tri = enumerate_triangles(sub)
         op = build_operator(sub, tri, alpha)
-        res = solve_spectral(op, tol=tol, max_iter=max_iter, shift=shift)
+        res = solve_spectral(op, tol=tol)
         scores[keep] = res.x
         total_iters += res.iterations
         worst_residual = max(worst_residual, res.residual)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,6 +16,8 @@ from tricent import (
     removal_experiment,
     triangle_importance,
 )
+from tricent.analysis import TRIANGLE_TIE_TOL
+from tricent.report import label_sort_key
 
 from oracles import complete_graph, random_connected_graph, relabeled
 
@@ -42,14 +45,31 @@ class TestTriangleImportance:
         for e in ranking.entries:
             assert lo - 1e-12 <= e.score <= hi + 1e-12
 
-    def test_scores_nonincreasing_and_competition_ranks(self, karate):
-        tris = enumerate_triangles(karate)
-        ranking = triangle_importance(karate, tris, atec(karate, 0.4))
-        scores = [e.score for e in ranking.entries]
-        assert scores == sorted(scores, reverse=True)
-        assert ranking.entries[0].rank == 1
-        for pos, e in enumerate(ranking.entries, start=1):
-            assert e.rank <= pos
+    @pytest.mark.parametrize(
+        "dataset, alpha",
+        [("karate", 0.4), *(("celegans", alpha) for alpha in (1, 0.4, 0.2, 0.01))],
+    )
+    def test_scores_nonincreasing_and_competition_ranks(self, request, dataset, alpha):
+        """The TriangleRanking spec: tie groups (entries sharing a rank) chain
+        scores within TRIANGLE_TIE_TOL, sit more than it apart, carry
+        competition ranks and list their triples in label order. Inside a
+        group the printed score may rise by rounding noise."""
+        graph = request.getfixturevalue(dataset)
+        tris = enumerate_triangles(graph)
+        ranking = triangle_importance(graph, tris, atec(graph, alpha))
+        groups = [list(g) for _, g in itertools.groupby(ranking.entries, lambda e: e.rank)]
+        assert sum(map(len, groups)) == len(tris) > 0
+        before = 0
+        for group in groups:
+            assert group[0].rank == before + 1
+            before += len(group)
+            scores = sorted((e.score for e in group), reverse=True)
+            assert all(a - b <= TRIANGLE_TIE_TOL for a, b in zip(scores, scores[1:]))
+            keys = [tuple(map(label_sort_key, e.vertices)) for e in group]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for earlier, later in zip(groups, groups[1:]):
+            gap = min(e.score for e in earlier) - max(e.score for e in later)
+            assert gap > TRIANGLE_TIE_TOL
 
     def test_tie_group_lists_triples_in_order_whatever_the_last_bits(self):
         # triangles (1, 2, 3) and (1, 2, 4); the second scores 1 ulp higher

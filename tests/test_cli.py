@@ -476,6 +476,102 @@ class TestCsvQuoting:
         assert code == 0
         assert '"' not in out
 
+    REMOVE = {"karate": "1,34", "odd": '"a,b",c'}
+
+    @staticmethod
+    def chunks(text: str) -> list[str]:
+        """The CSV tables of text, split at its '#' comment lines."""
+        chunks = [""]
+        for line in text.splitlines(keepends=True):
+            if line.startswith("#"):
+                chunks.append("")
+            else:
+                chunks[-1] += line
+        return [c for c in chunks if c]
+
+    @staticmethod
+    def cell(value) -> str:
+        """A JSON value as its CSV cell: numbers at 10 digits, lists ;-joined."""
+        if isinstance(value, list):
+            return ";".join(map(str, value))
+        if isinstance(value, (int, float)):
+            return f"{value:.10g}"
+        return value
+
+    @pytest.mark.parametrize("dataset", ["karate", "odd"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("centrality", "--measure", "atec:0.2,dc,tc"),
+            ("sweep", "--alphas", "1,0.5"),
+            ("sweep", "--alphas", "1,0.5", "--top", "3"),
+            ("triangles", "--with-cycle-index"),
+            ("connectivity",),
+            ("stats",),
+            ("compare", "--measure", "atec:0.2,dc,bc,sc"),
+        ],
+        ids=" ".join,
+    )
+    def test_csv_and_json_carry_the_same_table(self, capsys, odd_file, tmp_path, argv, dataset):
+        path = odd_file if dataset == "odd" else dataset_path(dataset)
+        sub = argv[0]
+        if sub == "connectivity":
+            argv += ("--remove", self.REMOVE[dataset])
+
+        def output(fmt, *extra):
+            # connectivity writes its table only to --output
+            out = tmp_path / f"out.{fmt}"
+            if sub == "connectivity":
+                extra += ("--output", str(out))
+            code, text, _ = run(capsys, *argv, "--input", str(path), "--format", fmt, *extra)
+            assert code == 0
+            return out.read_text() if sub == "connectivity" else text
+
+        chunks = self.chunks(output("csv"))
+        tables = [list(csv.reader(io.StringIO(chunk))) for chunk in chunks]
+        headers = [table[0] for table in tables]
+        doc = json.loads(output("json"))
+        if sub == "sweep":
+            assert headers == [doc["columns"]]
+            json_tables = [doc["rows"]]
+        elif sub == "compare":
+            assert headers == [["measure", *doc["measures"]]]
+            json_tables = [[[m, *row] for m, row in zip(doc["measures"], doc["matrix"])]]
+        elif sub == "connectivity":
+            assert set(doc) == {"meta", *headers[0]}
+            json_tables = [[[doc[c] for c in headers[0]]]]
+        else:
+            docs = doc if isinstance(doc, list) else [doc]
+            assert len(docs) == len(headers)
+            assert all(set(r) == set(h) for d, h in zip(docs, headers) for r in d["rows"])
+            json_tables = [[[r[c] for c in h] for r in d["rows"]] for d, h in zip(docs, headers)]
+        assert len(json_tables) == len(tables)
+        for rows, (_, *body) in zip(json_tables, tables):
+            assert body and [[self.cell(v) for v in row] for row in rows] == body
+
+        if sub in ("centrality", "triangles"):
+            output("csv", "--output", str(tmp_path / "multi.csv"))
+            files = [p.read_text() for p in tmp_path.glob("multi-*.csv")]
+            assert len(chunks) > 1 and sorted(files) == sorted(chunks)
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (("centrality", "--measure", "tc"), 0, ""),
+        (("compare", "--measure", "dc,tc"), 3,
+         "error: correlation is undefined for a constant score vector\n"),
+    ],
+    ids=["centrality", "compare"],
+)
+def test_library_warnings_print_as_warning_lines(capsys, tmp_path, argv, code, error):
+    """A library warning is one "warning: <message>" line, ahead of any error."""
+    path = tmp_path / "path.edges"
+    path.write_text("1 2\n2 3\n3 4\n")
+    assert run(capsys, *argv, "--input", str(path))[::2] == (
+        code, "warning: graph has no triangles; triangle centrality is all-zero\n" + error
+    )
+
 
 def modules_after(code: str) -> list[str]:
     """The names in sys.modules once a fresh interpreter has run code."""
