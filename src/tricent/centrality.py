@@ -108,15 +108,11 @@ def triangle_centrality(graph: Graph, triangles: TriangleSet) -> CentralityRepor
     if total == 0:
         warnings.warn("graph has no triangles; triangle centrality is all-zero")
         return make_report("tc", {}, graph.labels, np.zeros(n), "raw")
-    tri_neighbors: list[set[int]] = [set() for _ in range(n)]
-    for p, q, r in triangles.triangles:
-        tri_neighbors[p].update((q, r))
-        tri_neighbors[q].update((p, r))
-        tri_neighbors[r].update((p, q))
     scores = np.zeros(n)
-    for v in range(n):
-        core = t[v] + sum(t[u] for u in sorted(tri_neighbors[v]))
-        outside = sum(t[w] for w in graph.adjacency[v] if w not in tri_neighbors[v])
+    for v, pairs in enumerate(triangles.incidence):
+        tri_neighbors = set(chain.from_iterable(pairs))
+        core = t[v] + sum(t[u] for u in tri_neighbors)
+        outside = sum(t[w] for w in graph.adjacency[v] if w not in tri_neighbors)
         scores[v] = (core / 3.0 + outside) / total
     return make_report("tc", {}, graph.labels, scores, "raw")
 

@@ -10,7 +10,6 @@ var TRICENT_TOL overrides the default solver tolerance.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -117,6 +116,13 @@ def _label_list(text: str) -> list[str]:
     return labels
 
 
+def _number(text: str, source: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{source} must be a number, got {text!r}") from None
+
+
 def _tolerance(args) -> float:
     if args.tol is not None:
         tol, source = args.tol, "--tol"
@@ -125,10 +131,7 @@ def _tolerance(args) -> float:
         if not env:
             return DEFAULT_TOL
         source = "TRICENT_TOL"
-        try:
-            tol = float(env)
-        except ValueError:
-            raise UsageError(f"{source} must be a number, got {env!r}") from None
+        tol = _number(env, source)
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"{source} must be positive and finite, got {tol}")
     return tol
@@ -142,10 +145,11 @@ def _load(args) -> tuple[Graph, str]:
     return load_edge_list(path, dedupe=True), digest
 
 
-def _require_connected(graph: Graph):
+def _require_connected(graph: Graph, flag_helps: bool = False):
     ncomp = len(connected_components(graph))
     if ncomp != 1:
-        raise ValueError(f"graph has {ncomp} components (use --per-component)")
+        hint = " (use --per-component)" if flag_helps else ""
+        raise ValueError(f"graph has {ncomp} components{hint}")
 
 
 def _write(text: str, path: str | None):
@@ -191,31 +195,26 @@ def _write_tables(args, tables):
 def _parse_measure(token: str, default_alpha: float | None):
     name, _, alpha_part = token.partition(":")
     name = name.strip().lower()
-    alpha = float(alpha_part) if alpha_part else default_alpha
+    alpha = _number(alpha_part, "alpha") if alpha_part else default_alpha
     return name, alpha
 
 
-def _triangles_once(graph: Graph):
-    """A call that lists the graph's triangles the first time and reuses them."""
-    return functools.cache(functools.partial(enumerate_triangles, graph))
-
-
-def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool, triangles):
-    """One measure's report; triangles() returns the graph's triangle set."""
+def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool | None):
+    """One measure's report; per_component is None where the command lacks the flag."""
     if name == "atec":
         if alpha is None:
             raise UsageError("measure 'atec' needs --alpha (or atec:<alpha>)")
         if per_component:
             return atec_per_component(graph, alpha, tol=tol)
-        _require_connected(graph)
-        return atec(graph, alpha, triangles=triangles(), tol=tol)
+        _require_connected(graph, flag_helps=per_component is not None)
+        return atec(graph, alpha, tol=tol)
     if name == "dc":
         return degree_centrality(graph)
     if name == "ec":
         _require_connected(graph)
         return eigenvector_centrality(graph, tol=tol)
     if name == "tc":
-        return triangle_centrality(graph, triangles())
+        return triangle_centrality(graph, enumerate_triangles(graph))
     if name == "bc":
         return betweenness_centrality(graph)
     if name == "sc":
@@ -230,10 +229,8 @@ def cmd_centrality(args) -> int:
     if not tokens:
         raise UsageError("--measure needs at least one measure")
     tables = []
-    triangles = _triangles_once(graph)
-    for token in tokens:
-        name, alpha = _parse_measure(token, args.alpha)
-        report = _compute_measure(name, alpha, graph, tol, args.per_component, triangles)
+    for name, alpha in [_parse_measure(token, args.alpha) for token in tokens]:
+        report = _compute_measure(name, alpha, graph, tol, args.per_component)
         if args.unit_norm and report.normalization == "raw":
             report = report.unit_euclidean()
         meta = {
@@ -260,26 +257,20 @@ def cmd_centrality(args) -> int:
 def cmd_sweep(args) -> int:
     graph, digest = _load(args)
     tol = _tolerance(args)
-    alphas = [float(t) for t in args.alphas.split(",") if t.strip()]
+    alphas = [_number(t, "alpha") for t in args.alphas.split(",") if t.strip()]
     if len(alphas) < 2:
         raise UsageError("sweep needs at least two alpha values")
-    if args.per_component:
-        reports = [atec_per_component(graph, a, tol=tol) for a in alphas]
-    else:
-        _require_connected(graph)
-        triangles = enumerate_triangles(graph)
-        reports = [atec(graph, a, triangles=triangles, tol=tol) for a in alphas]
+    if args.top is not None and args.top < 1:
+        raise UsageError("--top must be a positive integer")
+    reports = [_compute_measure("atec", a, graph, tol, args.per_component) for a in alphas]
 
     order = label_order(graph.labels)
     matrix = np.stack([r.scores for r in reports], axis=1)  # vertices x alphas
 
-    if args.top is not None and args.top < 1:
-        raise UsageError("--top must be a positive integer")
     if args.top:
         top = min(args.top, graph.n)
         columns = ["alpha", *(f"rank{k}" for k in range(1, top + 1))]
-        # alpha stays text here: it labels a row of labels, not a score
-        rows = [(_fmt(a), *report.top(top)) for a, report in zip(alphas, reports)]
+        rows = [(a, *report.top(top)) for a, report in zip(alphas, reports)]
     else:
         columns = ["label", *(f"alpha={_fmt(a)}" for a in alphas)]
         rows = [(graph.labels[i], *matrix[i]) for i in order]
@@ -378,7 +369,7 @@ def cmd_stats(args) -> int:
         _write_json({"meta": _json_cell(meta), "rows": _json_rows(columns, rows)}, args.output)
     else:
         text = _csv(columns, rows) + "".join(
-            f"# {key} min={s['min']} median={s['median']} max={s['max']}\n"
+            f"# {key} " + " ".join(f"{k}={_csv_cell(v)}" for k, v in s.items()) + "\n"
             for key, s in summaries.items()
         )
         _write(text, args.output)
@@ -392,10 +383,8 @@ def cmd_compare(args) -> int:
     if len(tokens) < 2:
         raise UsageError("compare needs at least two measures")
     names, vectors = [], []
-    triangles = _triangles_once(graph)
-    for token in tokens:
-        name, alpha = _parse_measure(token, args.alpha)
-        report = _compute_measure(name, alpha, graph, tol, False, triangles)
+    for name, alpha in [_parse_measure(token, args.alpha) for token in tokens]:
+        report = _compute_measure(name, alpha, graph, tol, None)
         display = name if alpha is None or name != "atec" else f"atec:{_fmt(alpha)}"
         names.append(display)
         vectors.append(report.scores)

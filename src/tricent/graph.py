@@ -4,8 +4,9 @@ Vertices carry arbitrary string labels externally and contiguous 0-based ids
 internally. Graph and TriangleSet instances are immutable once built, so they
 are safe to share across threads; their int64 index arrays (Graph.edge_array,
 TriangleSet.triangle_array) are read-only. A Graph finds its connected
-components on first use and keeps them: connected_components, is_connected
-and every connectivity check in the library read that one partition.
+components and lists its triangles on first use and keeps both: every
+connectivity check reads that one partition, and every enumerate_triangles
+call on it returns that one TriangleSet.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:
@@ -95,6 +96,11 @@ class Graph:
             for root in range(self.n)
             if parent[root] == -2
         )
+
+    @cached_property
+    def _triangles(self) -> "TriangleSet":
+        """The graph's triangles, listed on first use (_list_triangles)."""
+        return _list_triangles(self)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -297,6 +303,12 @@ class TriangleSet:
 
 
 def enumerate_triangles(graph: Graph) -> TriangleSet:
+    """The graph's 3-cliques, listed on first use; every caller shares the
+    one immutable TriangleSet."""
+    return graph._triangles
+
+
+def _list_triangles(graph: Graph) -> TriangleSet:
     """List every 3-clique once via the degree-ordered forward algorithm.
 
     Vertices are processed in non-increasing degree order (ties by id); each

@@ -397,15 +397,15 @@ def atec_per_component(
     isolated vertex scores 1.0 and a single edge scores 0.7071 per endpoint.
     Rankings mix all components.
     """
-    components = connected_components(graph)
+    components = graph._components
     scores = np.zeros(graph.n)
     total_iters = 0
     worst_residual = 0.0
     for comp in components:
-        keep = np.array(sorted(comp), dtype=np.int64)
+        keep = np.array(comp, dtype=np.int64)
+        # a connected graph is its own component, with its triangles listed once
         sub = graph if len(comp) == graph.n else _induced(graph, keep)
-        tri = enumerate_triangles(sub)
-        op = build_operator(sub, tri, alpha)
+        op = build_operator(sub, enumerate_triangles(sub), alpha)
         res = solve_spectral(op, tol=tol)
         scores[keep] = res.x
         total_iters += res.iterations

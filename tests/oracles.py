@@ -7,8 +7,9 @@ subgraph centrality by a truncated Taylor series of exp(A), the alpha-triangle
 operator by a dense tensor and a triple-loop contraction. The loop-based
 operator build, the competition rankings, the rank correlations, the per-caller
 graph builders, the two power loops, the adjacency matrix, the per-source
-betweenness loop and the two-digraph weak-irreducibility check are the
-reference the library versions must match exactly.
+betweenness loop, the triangle-centrality loop and the two-digraph
+weak-irreducibility check are the reference the library versions must match
+exactly.
 """
 
 from __future__ import annotations
@@ -329,6 +330,30 @@ def betweenness_by_loop(graph: Graph) -> np.ndarray:
                 bc[w] += delta[w]
     # every unordered pair was accumulated from both endpoints
     return np.array([float(b / 2) for b in bc])
+
+
+def triangle_centrality_by_loop(graph: Graph, triangles: TriangleSet) -> np.ndarray:
+    """Raw Burkhardt triangle centrality, triangle neighbours gathered by one
+    walk over every triangle; all zeros on a triangle-free graph.
+
+    The library's loop as it was before it read TriangleSet.incidence.
+    """
+    n = graph.n
+    t = triangles.count_per_vertex()
+    total = len(triangles)
+    if total == 0:
+        return np.zeros(n)
+    tri_neighbors: list[set[int]] = [set() for _ in range(n)]
+    for p, q, r in triangles.triangles:
+        tri_neighbors[p].update((q, r))
+        tri_neighbors[q].update((p, r))
+        tri_neighbors[r].update((p, q))
+    scores = np.zeros(n)
+    for v in range(n):
+        core = t[v] + sum(t[u] for u in sorted(tri_neighbors[v]))
+        outside = sum(t[w] for w in graph.adjacency[v] if w not in tri_neighbors[v])
+        scores[v] = (core / 3.0 + outside) / total
+    return scores
 
 
 def operator_arrays_by_loops(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -11,7 +12,9 @@ import pytest
 
 import tricent
 from tricent import dataset_path
-from tricent.cli import main
+from tricent.cli import build_parser, main
+
+import cli_grid
 
 
 @pytest.fixture()
@@ -200,6 +203,16 @@ class TestCentralityCommand:
             assert "usage error: TRICENT_TOL must be" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("centrality", "--measure", "atec:x"), ("sweep", "--alphas", "1,x")],
+    ids=lambda argv: argv[0],
+)
+def test_non_numeric_alpha_is_usage_error(capsys, k3_file, argv):
+    code, out, err = run(capsys, *argv, "--input", str(k3_file))
+    assert (code, out, err) == (2, "", "usage error: alpha must be a number, got 'x'\n")
+
+
 class TestSweepCommand:
     def test_wide_csv(self, capsys):
         code, out, _ = run(
@@ -229,6 +242,24 @@ class TestSweepCommand:
         assert lines[0] == "alpha,rank1,rank2,rank3"
         assert lines[1] == "1,34,1,3"
         assert lines[2] == "0.01,1,2,3"
+
+    def test_top_zero_is_rejected_before_any_solve(self, capsys, k3_file, monkeypatch):
+        solves = []
+        monkeypatch.setattr(tricent.cli, "atec", lambda *a, **k: solves.append(a))
+        code, out, err = run(
+            capsys, "sweep", "--input", str(k3_file), "--alphas", "1,0.5", "--top", "0"
+        )
+        assert (code, out, solves) == (2, "", [])
+        assert "--top must be a positive integer" in err
+
+    def test_top_json_alphas_are_numbers(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--input", str(dataset_path("karate")),
+            "--alphas", "1,0.2", "--top", "2", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [row[0] for row in doc["rows"]] == doc["meta"]["alphas"] == [1.0, 0.2]
 
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "sweep.svg"
@@ -363,6 +394,24 @@ class TestStatsCommand:
         degrees = [int(r[1]) for r in rows]
         nts = [int(r[3]) for r in rows]
         assert max(nts) - min(nts) > max(degrees) - min(degrees)
+
+    @pytest.mark.parametrize("dataset", ["dolphins", "celegans-metabolic", "karate"])
+    def test_csv_summary_matches_json_summary(self, capsys, dataset):
+        """Summary values follow the CSV cell rule: an even count's median
+        of 5.0 prints as 5, like the odd count's 5."""
+        path = str(dataset_path(dataset))
+        csv_out = run(capsys, "stats", "--input", path)[1]
+        summary = json.loads(run(capsys, "stats", "--input", path, "--format", "json")[1])
+        want = {
+            key: {k: f"{v:.10g}" for k, v in values.items()}
+            for key, values in summary["meta"]["summary"].items()
+        }
+        got = {}
+        for line in csv_out.splitlines():
+            if line.startswith("# "):
+                key, *fields = line[2:].split(" ")
+                got[key] = dict(field.split("=") for field in fields)
+        assert got == want and len(got) == 3
 
 
 class TestCompareCommand:
@@ -556,6 +605,25 @@ class TestCsvQuoting:
 
 
 @pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (("centrality", "--measure", "atec:0.2"), True),
+        (("sweep", "--alphas", "1,0.2"), True),
+        (("centrality", "--measure", "ec"), False),
+        (("centrality", "--measure", "ec", "--per-component"), False),
+        (("triangles",), False),
+        (("compare", "--measure", "atec:0.2,dc"), False),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"hint={v}",
+)
+def test_connectivity_hint_names_only_a_flag_that_helps(capsys, two_components_file, argv, hint):
+    """--per-component is suggested only where it exists and would make the run work."""
+    code, out, err = run(capsys, *argv, "--input", str(two_components_file))
+    suffix = " (use --per-component)" if hint else ""
+    assert (code, out, err) == (3, "", f"error: graph has 2 components{suffix}\n")
+
+
+@pytest.mark.parametrize(
     "argv, code, error",
     [
         (("centrality", "--measure", "tc"), 0, ""),
@@ -617,22 +685,23 @@ def test_cli_compare_run_skips_heavy_modules(tmp_path):
         ("sweep", "--alphas", "1,0.8,0.6,0.4,0.2,0.01", "--top", "5"),
         ("compare", "--measure", "atec:0.2,atec:1,dc,tc", "--method", "kendall"),
         ("centrality", "--measure", "atec:0.2,tc,atec:1,dc"),
+        ("sweep", "--alphas", "1,0.8,0.6,0.4,0.2,0.01", "--per-component"),
+        ("centrality", "--measure", "atec:0.2,atec:1,tc", "--per-component"),
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: argv[0] + ("-per-component" if "--per-component" in argv else ""),
 )
 def test_cli_lists_triangles_once_per_graph(capsys, monkeypatch, argv):
     """Every atec alpha and tc of one run share one triangle listing."""
-    listing, calls = tricent.graph.enumerate_triangles, []
+    listing, listed = tricent.graph._list_triangles, []
 
     def counted(graph):
-        calls.append(graph)
+        listed.append(graph)
         return listing(graph)
 
-    for module in (tricent.cli, tricent.tensor):
-        monkeypatch.setattr(module, "enumerate_triangles", counted)
+    monkeypatch.setattr(tricent.graph, "_list_triangles", counted)
     code, out, _ = run(capsys, argv[0], "--input", str(dataset_path("karate")), *argv[1:])
     assert code == 0 and out
-    assert len(calls) == 1
+    assert len(listed) == 1
 
 
 def test_cli_sweep_runs_the_component_bfs_once(capsys, monkeypatch):
@@ -650,6 +719,23 @@ def test_cli_sweep_runs_the_component_bfs_once(capsys, monkeypatch):
     )
     assert code == 0 and out
     assert roots == [0]
+
+
+def test_cli_grid_uses_every_option():
+    """tests/cli_grid.py runs every option string the parser defines, per subcommand."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    used: dict[str | None, set[str]] = {}
+    for _, argv, _ in cli_grid.grid():
+        used.setdefault(argv[0] if argv[0] in subparsers.choices else None, set()).update(argv)
+    missing = [
+        (sub, option)
+        for sub, sub_parser in [(None, parser), *subparsers.choices.items()]
+        for action in sub_parser._actions
+        for option in action.option_strings
+        if option not in used.get(sub, ())
+    ]
+    assert missing == [] and len(used) == 1 + len(subparsers.choices)
 
 
 def test_version_flag(capsys):

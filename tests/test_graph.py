@@ -260,3 +260,23 @@ def test_component_bfs_runs_once_per_graph(monkeypatch):
     connected_components(g)[0].clear()
     assert connected_components(g) == [set(range(g.n))] and is_connected(g)
     assert roots == [0]
+
+
+def test_triangles_are_listed_once_per_graph(monkeypatch):
+    """A Graph lists its triangles on first use and hands every caller that
+    one set; a graph made by removal lists its own."""
+    listing, listed = tricent.graph._list_triangles, []
+
+    def counted(graph):
+        listed.append(graph)
+        return listing(graph)
+
+    monkeypatch.setattr(tricent.graph, "_list_triangles", counted)
+    g = load_dataset("karate")  # a fresh Graph: nothing cached yet
+    assert enumerate_triangles(g) is enumerate_triangles(g)
+    assert listed == [g]
+    reduced = remove_vertices(g, ["1"])
+    tris = enumerate_triangles(reduced)
+    assert listed == [g, reduced] and tris is not enumerate_triangles(g)
+    assert list(tris.triangles) == triangles_by_combinations(reduced)
+    assert enumerate_triangles(reduced) is tris and len(listed) == 2

@@ -4,9 +4,9 @@ Each library path must reproduce its loop-based reference exactly: the same
 operator index arrays, bitwise-equal coefficients, equal ranking tuples,
 equal correlation floats, the same graphs from the one array builder (errors
 and warnings included), bitwise-equal results from the shared power kernel
-at Anderson depth 0, and bitwise-equal adjacency matrices and betweenness
-scores. The kernel's Anderson-mixed default is held to a tighter power-loop
-reference within stated tolerances instead.
+at Anderson depth 0, and bitwise-equal adjacency matrices, betweenness and
+triangle-centrality scores. The kernel's Anderson-mixed default is held to a
+tighter power-loop reference within stated tolerances instead.
 Graphs are seeded random graphs (triangle-free and single-edge ones included)
 over labels chosen to trip numeric label ordering: "01", "1" and "+1" all
 parse as the integer 1, "1_0" parses as 10.
@@ -41,6 +41,7 @@ from tricent import (
     rank_correlation,
     remove_vertices,
     solve_spectral,
+    triangle_centrality,
     triangle_importance,
     verify_weak_irreducibility,
 )
@@ -70,6 +71,7 @@ from oracles import (
     rank_scores,
     rank_triangles,
     solve_spectral_by_loop,
+    triangle_centrality_by_loop,
     weak_irreducibility_by_digraph,
 )
 
@@ -826,6 +828,18 @@ def test_betweenness_matches_seed_loop(monkeypatch, name, block):
     levels = centrality._brandes_by_levels(graph)
     assert levels is not None and levels.tobytes() == BC_WANT[name]
     assert betweenness_centrality(graph).scores.tobytes() == BC_WANT[name]
+
+
+@pytest.mark.parametrize("name", BC_GRAPHS)
+def test_triangle_centrality_matches_seed_loop(name):
+    """Triangle neighbours read from the incidence lists give the loop's bytes,
+    on the betweenness sample: its trees are triangle-free."""
+    graph = BC_GRAPHS[name]
+    triangles = enumerate_triangles(graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # triangle-free graphs warn
+        got = triangle_centrality(graph, triangles).scores
+    assert got.tobytes() == triangle_centrality_by_loop(graph, triangles).tobytes()
 
 
 @pytest.mark.parametrize("k, fast", ((52, True), (53, False)))
