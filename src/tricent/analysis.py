@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .report import CentralityReport, competition_rank, label_positions, label_s
 TRIANGLE_TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RankedTriangle:
+class RankedTriangle(NamedTuple):
     vertices: tuple[str, str, str]
     score: float
     rank: int
@@ -87,12 +86,8 @@ def _rank_triangles(
     by_pos[pos] = graph.labels
     corners = np.sort(pos[triangles.triangle_array], axis=1)
     order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
-    entries = tuple(
-        RankedTriangle(tuple(triple), s, r)
-        for triple, s, r in zip(
-            by_pos[corners[order]].tolist(), scores[order].tolist(), rank.tolist()
-        )
-    )
+    columns = (map(tuple, by_pos[corners[order]].tolist()), scores[order].tolist(), rank.tolist())
+    entries = tuple(map(RankedTriangle._make, zip(*columns)))
     return TriangleRanking(index=index, params=dict(params), entries=entries)
 
 

@@ -42,11 +42,19 @@ from .graph import (
     enumerate_triangles,
     load_edge_list,
 )
-from .report import label_order
+from .report import RankedVertex, label_order
 from .svgplot import scatter_matrix, sweep_plot
-from .tensor import DEFAULT_TOL, AlphaDomainError, ConvergenceError, atec, atec_per_component
+from .tensor import (
+    DEFAULT_TOL,
+    AlphaDomainError,
+    ConvergenceError,
+    _check_alpha,
+    atec,
+    atec_per_component,
+)
 
 
+_MEASURES = ("atec", "dc", "ec", "tc", "bc", "sc")
 # one field of a comma list: RFC 4180 quoted if it starts with '"', else verbatim
 _LIST_FIELD = re.compile(r'\s*(?:"((?:[^"]|"")*)"|([^",\s][^,]*)?)\s*(?:,|\Z)')
 
@@ -192,18 +200,29 @@ def _write_tables(args, tables):
             _write(_csv(columns, rows), _multi_path(args.output, suffix))
 
 
-def _parse_measure(token: str, default_alpha: float | None):
-    name, _, alpha_part = token.partition(":")
-    name = name.strip().lower()
-    alpha = _number(alpha_part, "alpha") if alpha_part else default_alpha
-    return name, alpha
+def _parse_measures(text: str, default_alpha: float | None) -> list[tuple[str, float | None]]:
+    """(name, alpha) of every token of a --measure list, all checked before
+    any is computed; the first bad token in list order is the one reported."""
+    measures = []
+    for token in text.split(","):
+        if not token.strip():
+            continue
+        name, _, alpha_part = token.partition(":")
+        name = name.strip().lower()
+        alpha = _number(alpha_part, "alpha") if alpha_part else default_alpha
+        if name not in _MEASURES:
+            raise UsageError(f"unknown measure {name!r}; use {', '.join(_MEASURES)}")
+        if name == "atec":
+            if alpha is None:
+                raise UsageError("measure 'atec' needs --alpha (or atec:<alpha>)")
+            _check_alpha(alpha)
+        measures.append((name, alpha))
+    return measures
 
 
 def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool | None):
     """One measure's report; per_component is None where the command lacks the flag."""
     if name == "atec":
-        if alpha is None:
-            raise UsageError("measure 'atec' needs --alpha (or atec:<alpha>)")
         if per_component:
             return atec_per_component(graph, alpha, tol=tol)
         _require_connected(graph, flag_helps=per_component is not None)
@@ -217,19 +236,17 @@ def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool | 
         return triangle_centrality(graph, enumerate_triangles(graph))
     if name == "bc":
         return betweenness_centrality(graph)
-    if name == "sc":
-        return subgraph_centrality(graph)
-    raise UsageError(f"unknown measure {name!r}; use atec, dc, ec, tc, bc, sc")
+    return subgraph_centrality(graph)  # "sc", the last name _parse_measures admits
 
 
 def cmd_centrality(args) -> int:
     graph, digest = _load(args)
     tol = _tolerance(args)
-    tokens = [t for t in args.measure.split(",") if t.strip()]
-    if not tokens:
+    measures = _parse_measures(args.measure, args.alpha)
+    if not measures:
         raise UsageError("--measure needs at least one measure")
     tables = []
-    for name, alpha in [_parse_measure(token, args.alpha) for token in tokens]:
+    for name, alpha in measures:
         report = _compute_measure(name, alpha, graph, tol, args.per_component)
         if args.unit_norm and report.normalization == "raw":
             report = report.unit_euclidean()
@@ -248,8 +265,7 @@ def cmd_centrality(args) -> int:
         for key in ("iterations", "residual", "rho", "eigenvalue", "components"):
             if key in report.meta:
                 meta[key] = report.meta[key]
-        rows = [(e.label, e.score, e.rank, e.tie_group) for e in report.ranking]
-        tables.append((comment, suffix, meta, ("label", "score", "rank", "tie_group"), rows))
+        tables.append((comment, suffix, meta, RankedVertex._fields, report.ranking))
     _write_tables(args, tables)
     return 0
 
@@ -379,11 +395,11 @@ def cmd_stats(args) -> int:
 def cmd_compare(args) -> int:
     graph, digest = _load(args)
     tol = _tolerance(args)
-    tokens = [t for t in args.measure.split(",") if t.strip()]
-    if len(tokens) < 2:
+    measures = _parse_measures(args.measure, args.alpha)
+    if len(measures) < 2:
         raise UsageError("compare needs at least two measures")
     names, vectors = [], []
-    for name, alpha in [_parse_measure(token, args.alpha) for token in tokens]:
+    for name, alpha in measures:
         report = _compute_measure(name, alpha, graph, tol, None)
         display = name if alpha is None or name != "atec" else f"atec:{_fmt(alpha)}"
         names.append(display)

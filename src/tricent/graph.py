@@ -6,7 +6,10 @@ are safe to share across threads; their int64 index arrays (Graph.edge_array,
 TriangleSet.triangle_array) are read-only. A Graph finds its connected
 components and lists its triangles on first use and keeps both: every
 connectivity check reads that one partition, and every enumerate_triangles
-call on it returns that one TriangleSet.
+call on it returns that one TriangleSet. It keeps, on first use too, the
+alpha-free index pattern of its alpha-triangle operator (tensor) and, when
+disconnected, the subgraph of each component, so an alpha sweep does the
+per-graph work once.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:
@@ -101,6 +104,14 @@ class Graph:
     def _triangles(self) -> "TriangleSet":
         """The graph's triangles, listed on first use (_list_triangles)."""
         return _list_triangles(self)
+
+    @cached_property
+    def _component_subgraphs(self) -> tuple["Graph", ...]:
+        """The induced subgraph of every component, in _components order,
+        built on first use, so each keeps its own triangles and operator
+        pattern. Read only on a disconnected graph: a connected one is its
+        own component, and keeping itself here would make a reference cycle."""
+        return tuple(_induced(self, np.array(comp, dtype=np.int64)) for comp in self._components)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -279,15 +290,15 @@ def is_connected(graph: Graph) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class TriangleSet:
-    """All 3-cliques of a graph, canonically ordered.
+    """All 3-cliques of a graph on n vertices, canonically ordered.
 
     triangles holds each clique once as (p, q, r) with p < q < r, sorted;
     incidence[i] lists the pairs (j, k), j < k, completing a triangle with i,
-    sorted. Σ_i len(incidence[i]) == 3 * len(triangles).
+    sorted, and is built on first read. Σ_i len(incidence[i]) == 3 * len(triangles).
     """
 
     triangles: tuple[tuple[int, int, int], ...]
-    incidence: tuple[tuple[tuple[int, int], ...], ...]
+    n: int
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -297,9 +308,18 @@ class TriangleSet:
         """triangles as a read-only (T, 3) int64 array, built on first use."""
         return _readonly_index_array(self.triangles, 3)
 
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        incidence: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for p, q, r in self.triangles:
+            incidence[p].append((q, r))
+            incidence[q].append((p, r))
+            incidence[r].append((p, q))
+        return tuple(tuple(sorted(pairs)) for pairs in incidence)
+
     def count_per_vertex(self) -> list[int]:
         """T(i): number of triangles containing each vertex."""
-        return [len(pairs) for pairs in self.incidence]
+        return np.bincount(self.triangle_array.ravel(), minlength=self.n).tolist()
 
 
 def enumerate_triangles(graph: Graph) -> TriangleSet:
@@ -331,16 +351,7 @@ def _list_triangles(graph: Graph) -> TriangleSet:
                 triangles.append(tuple(sorted((u, v, w))))
             forward[u].add(v)
     triangles.sort()
-
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p, q, r in triangles:
-        incidence[p].append((q, r))
-        incidence[q].append((p, r))
-        incidence[r].append((p, q))
-    return TriangleSet(
-        triangles=tuple(triangles),
-        incidence=tuple(tuple(sorted(pairs)) for pairs in incidence),
-    )
+    return TriangleSet(triangles=tuple(triangles), n=n)
 
 
 def remove_vertices(graph: Graph, labels: Iterable[str]) -> Graph:

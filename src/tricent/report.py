@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,8 @@ def competition_rank(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Order items by descending score, each tie group by ascending tiebreak keys.
 
-    tiebreak lists integer key arrays, most significant first. Returns
+    tiebreak lists integer key arrays, most significant first; with none,
+    each group keeps its members in descending score order. Returns
     (order, group, rank), aligned with order: consecutive scores within
     tie_tol chain into one tie group (group counts groups from 0), and every
     member of a group shares the competition rank of its first position, so
@@ -49,13 +50,12 @@ def competition_rank(
     np.greater(ordered[:-1] - ordered[1:], tie_tol, out=new_group[1:])
     group = np.cumsum(new_group) - 1
     rank = np.flatnonzero(new_group)[group] + 1
-    # group is nondecreasing, so this reorders within groups only
-    order = order[np.lexsort((*(key[order] for key in reversed(tiebreak)), group))]
+    if tiebreak:  # group is nondecreasing, so this reorders within groups only
+        order = order[np.lexsort((*(key[order] for key in reversed(tiebreak)), group))]
     return order, group, rank
 
 
-@dataclass(frozen=True)
-class RankedVertex:
+class RankedVertex(NamedTuple):
     label: str
     score: float
     rank: int
@@ -122,14 +122,20 @@ def rank_scores(
     scores: np.ndarray,
     tie_tol: float = VERTEX_TIE_TOL,
 ) -> tuple[RankedVertex, ...]:
-    """Competition-rank scores descending; each tie group sorted by label."""
-    order, group, rank = competition_rank(scores, (label_positions(labels),), tie_tol)
-    return tuple(
-        RankedVertex(labels[i], s, r, g)
-        for i, s, r, g in zip(
-            order.tolist(), scores[order].tolist(), rank.tolist(), group.tolist()
-        )
+    """Competition-rank scores descending; each tie group sorted by label.
+
+    Only the members of groups of two or more have their labels read.
+    """
+    order, group, rank = competition_rank(scores, (), tie_tol)
+    tied = np.flatnonzero(np.bincount(group)[group] > 1)
+    members = sorted(
+        zip(group[tied].tolist(), order[tied].tolist()),
+        key=lambda gi: (gi[0], label_sort_key(labels[gi[1]])),
     )
+    order[tied] = [i for _, i in members]
+    order = order.tolist()
+    columns = ([labels[i] for i in order], scores[order].tolist(), rank.tolist(), group.tolist())
+    return tuple(map(RankedVertex._make, zip(*columns)))
 
 
 def make_report(

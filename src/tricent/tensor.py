@@ -29,10 +29,14 @@ The tensor is never materialized: the operator stores flattened
 and accumulates them strictly in that order, so apply() is bitwise equal to
 a naive triple-loop contraction of the dense tensor (the test suite's
 oracle). The build stacks the 2m edge entries (i, j, j) and the 6T triangle
-entries (i, j, k), (i, k, j), sorts them once on the int64 key
-(i*n + j)*n + k and decodes i, j, k from the sorted keys; edge entries are
-exactly those with j == k. Keys run up to n^3 - 1, so the operator accepts
-at most MAX_VERTICES = 2 097 151 vertices (n^3 < 2^63).
+entries (i, j, k), (i, k, j), sorts them once on the int64 key that packs
+i, j and k into b bits each (b the bit length of n - 1) and unpacks i, j, k
+from the sorted keys with shifts and masks; edge entries are exactly those
+with j == k. Keys take 3b bits, so the operator accepts at most
+MAX_VERTICES = 2 097 151 vertices (n^3 < 2^63, and b <= 21). Only the
+coefficients depend on alpha: a graph keeps the read-only (i, j, k) pattern
+and edge positions of its own triangle listing, so the operators of an
+alpha sweep share one pattern and each fills in its coefficients alone.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, TriangleSet, _bfs, _induced, connected_components, enumerate_triangles
+from .graph import Graph, TriangleSet, _bfs, enumerate_triangles
 from .report import CentralityReport, make_report
 
 DEFAULT_TOL = 1e-10
@@ -109,26 +113,10 @@ class AlphaTriangleOperator:
             )
         self.graph = graph
         self.triangles = triangles
-        self.n = n = graph.n
-        u, v = graph.edge_array.T
-        p, q, r = triangles.triangle_array.T
-        keys = np.concatenate([
-            (i * n + j) * n + k
-            for i, j, k in (
-                (u, v, v), (v, u, u),
-                (p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p),
-            )
-        ])
-        keys.sort()
-        # drop each temporary before the next one is allocated, to keep the peak low
-        ij, cols_k = np.divmod(keys, n)
-        del keys
-        rows, cols_j = np.divmod(ij, n)
-        del ij
-        self._rows = rows.astype(np.intp, copy=False)
-        self._cols_j = cols_j.astype(np.intp, copy=False)
-        self._cols_k = cols_k.astype(np.intp, copy=False)
-        self._coeffs = np.where(cols_j == cols_k, self.alpha, (1.0 - self.alpha) * 0.5)
+        self.n = graph.n
+        self._rows, self._cols_j, self._cols_k, edges = _operator_pattern(graph, triangles)
+        self._coeffs = np.full(len(self._rows), (1.0 - self.alpha) * 0.5)
+        self._coeffs[edges] = self.alpha
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(A x^2)_i, accumulated per component in ascending (j, k) order."""
@@ -142,6 +130,41 @@ class AlphaTriangleOperator:
             contributions *= x[self._cols_k[block]]
             np.add.at(out, self._rows[block], contributions)
         return out
+
+
+def _operator_pattern(
+    graph: Graph, triangles: TriangleSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The operator's read-only, alpha-free arrays: rows, cols_j, cols_k and
+    the positions of the edge entries (j == k).
+
+    The graph keeps the pattern of its own listing, found in its __dict__ so
+    that the check never lists; any other TriangleSet gets its own pattern.
+    """
+    cache = vars(graph)
+    own = cache.get("_triangles") is triangles
+    if own and "_operator_pattern" in cache:
+        return cache["_operator_pattern"]
+    bits = max(graph.n - 1, 1).bit_length()
+    mask = (1 << bits) - 1
+    u, v = graph.edge_array.T
+    p, q, r = triangles.triangle_array.T
+    keys = np.concatenate([
+        (i << bits | j) << bits | k
+        for i, j, k in (
+            (u, v, v), (v, u, u),
+            (p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p),
+        )
+    ])
+    keys.sort()
+    rows = (keys >> 2 * bits).astype(np.intp, copy=False)
+    cols_j = (keys >> bits & mask).astype(np.intp, copy=False)
+    keys &= mask
+    cols_k = keys.astype(np.intp, copy=False)
+    pattern = (rows, cols_j, cols_k, np.flatnonzero(cols_j == cols_k))
+    for arr in pattern:
+        arr.setflags(write=False)
+    return cache.setdefault("_operator_pattern", pattern) if own else pattern
 
 
 def build_operator(graph: Graph, triangles: TriangleSet, alpha: float) -> AlphaTriangleOperator:
@@ -188,7 +211,7 @@ def solve_spectral(
     ConvergenceError with that bracket if the budget runs out, and
     NotConnectedError, before iterating, when op.graph is disconnected.
     """
-    ncomp = len(connected_components(op.graph))
+    ncomp = len(op.graph._components)
     if ncomp != 1:
         raise NotConnectedError(
             f"graph has {ncomp} components; the positive eigenvector is only "
@@ -398,16 +421,15 @@ def atec_per_component(
     Rankings mix all components.
     """
     components = graph._components
+    # a connected graph is its own component; a disconnected one keeps its subgraphs
+    subgraphs = (graph,) if len(components) == 1 else graph._component_subgraphs
     scores = np.zeros(graph.n)
     total_iters = 0
     worst_residual = 0.0
-    for comp in components:
-        keep = np.array(comp, dtype=np.int64)
-        # a connected graph is its own component, with its triangles listed once
-        sub = graph if len(comp) == graph.n else _induced(graph, keep)
+    for comp, sub in zip(components, subgraphs):
         op = build_operator(sub, enumerate_triangles(sub), alpha)
         res = solve_spectral(op, tol=tol)
-        scores[keep] = res.x
+        scores[list(comp)] = res.x
         total_iters += res.iterations
         worst_residual = max(worst_residual, res.residual)
     return make_report(

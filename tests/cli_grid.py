@@ -79,6 +79,10 @@ SINGLE_RUNS = (
     ("karate", ("centrality", "--measure", "atec"), {}),
     ("karate", ("centrality", "--measure", "pagerank"), {}),
     ("karate", ("centrality", "--measure", ","), {}),
+    # bad measure tokens fail before any measure is computed
+    ("karate", ("centrality", "--measure", "bc,sc,pagerank"), {}),
+    ("karate", ("compare", "--measure", "dc,atec"), {}),
+    ("disconnected", ("centrality", "--measure", "ec,pagerank"), {}),
     ("karate", ("centrality", "--alpha", "0.2", "--tol", "nan"), {}),
     ("karate", ("sweep", "--alphas", "1,x"), {}),
     ("karate", ("sweep", "--alphas", "0.5"), {}),

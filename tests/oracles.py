@@ -7,9 +7,9 @@ subgraph centrality by a truncated Taylor series of exp(A), the alpha-triangle
 operator by a dense tensor and a triple-loop contraction. The loop-based
 operator build, the competition rankings, the rank correlations, the per-caller
 graph builders, the two power loops, the adjacency matrix, the per-source
-betweenness loop, the triangle-centrality loop and the two-digraph
-weak-irreducibility check are the reference the library versions must match
-exactly.
+betweenness loop, the triangle-centrality loop, the eager triangle
+incidence build and the two-digraph weak-irreducibility check are the
+reference the library versions must match exactly.
 """
 
 from __future__ import annotations
@@ -354,6 +354,20 @@ def triangle_centrality_by_loop(graph: Graph, triangles: TriangleSet) -> np.ndar
         outside = sum(t[w] for w in graph.adjacency[v] if w not in tri_neighbors[v])
         scores[v] = (core / 3.0 + outside) / total
     return scores
+
+
+def incidence_by_loop(triangles: TriangleSet, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vertex, the sorted (j, k) pairs completing a triangle with it.
+
+    The build the triangle lister ran eagerly before incidence was built on
+    first read.
+    """
+    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p, q, r in triangles.triangles:
+        incidence[p].append((q, r))
+        incidence[q].append((p, r))
+        incidence[r].append((p, q))
+    return tuple(tuple(sorted(pairs)) for pairs in incidence)
 
 
 def operator_arrays_by_loops(

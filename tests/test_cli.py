@@ -704,6 +704,37 @@ def test_cli_lists_triangles_once_per_graph(capsys, monkeypatch, argv):
     assert len(listed) == 1
 
 
+MEASURE_FUNCTIONS = (
+    "atec", "atec_per_component", "degree_centrality", "eigenvector_centrality",
+    "triangle_centrality", "betweenness_centrality", "subgraph_centrality",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, input_name, message",
+    [
+        (("centrality", "--measure", "bc,sc,pagerank"), "karate", "unknown measure 'pagerank'"),
+        (("compare", "--measure", "dc,atec"), "karate", "measure 'atec' needs --alpha"),
+        (("centrality", "--measure", "ec,pagerank"), "two", "unknown measure 'pagerank'"),
+        (("centrality", "--measure", "dc,atec:1.5"), "karate", "alpha must lie in (0, 1]"),
+        (("compare", "--measure", "dc,pagerank,atec"), "karate", "unknown measure 'pagerank'"),
+        (("compare", "--measure", "dc,atec,pagerank"), "karate", "measure 'atec' needs --alpha"),
+        (("centrality", "--measure", "tc,zz,atec:x"), "karate", "unknown measure 'zz'"),
+    ],
+)
+def test_bad_measure_tokens_fail_before_any_measure_is_computed(
+    capsys, monkeypatch, two_components_file, argv, input_name, message
+):
+    """Every token is checked first; the first bad one in list order is reported."""
+    calls = []
+    for name in MEASURE_FUNCTIONS:
+        monkeypatch.setattr(tricent.cli, name, lambda *a, name=name, **k: calls.append(name))
+    path = two_components_file if input_name == "two" else dataset_path(input_name)
+    code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+
+
 def test_cli_sweep_runs_the_component_bfs_once(capsys, monkeypatch):
     """The connectivity check and all six atec solves read one partition."""
     bfs, roots = tricent.graph._bfs, []

@@ -10,6 +10,7 @@ from tricent import (
     Graph,
     GraphValidationError,
     atec,
+    atec_per_component,
     connected_components,
     degree_and_triangle_stats,
     dump_edge_list,
@@ -18,10 +19,13 @@ from tricent import (
     load_dataset,
     load_edge_list,
     remove_vertices,
+    triangle_centrality,
+    triangle_importance,
 )
 
 from oracles import (
     components_by_bfs,
+    incidence_by_loop,
     random_connected_graph,
     triangle_count_by_trace,
     triangles_by_combinations,
@@ -166,6 +170,28 @@ class TestEnumerateTriangles:
         for tris in (celegans_triangles, g14_triangles):
             assert sum(len(p) for p in tris.incidence) == 3 * len(tris)
 
+    def test_incidence_and_counts_match_the_eager_build(self, celegans):
+        rng = random.Random(778)
+        graphs = [random_connected_graph(rng, rng.randint(3, 40), 0.4) for _ in range(10)]
+        graphs += [celegans, Graph.from_edge_labels([("1", "2"), ("3", "4")])]
+        for g in graphs:
+            tris = enumerate_triangles(g)
+            want = incidence_by_loop(tris, g.n)
+            assert tris.count_per_vertex() == [len(pairs) for pairs in want]
+            assert all(type(t) is int for t in tris.count_per_vertex())
+            assert tris.incidence == want
+            assert tris.incidence is tris.incidence
+
+    def test_incidence_is_built_only_when_read(self):
+        g = load_dataset("karate")  # a fresh Graph: nothing cached yet
+        tris = enumerate_triangles(g)
+        report = atec(g, 0.2, triangles=tris)
+        triangle_importance(g, tris, report)
+        degree_and_triangle_stats(g, tris)
+        assert "incidence" not in vars(tris)
+        triangle_centrality(g, tris)
+        assert "incidence" in vars(tris)
+
     def test_canonical_order(self, celegans_triangles):
         tris = celegans_triangles.triangles
         assert all(p < q < r for p, q, r in tris)
@@ -280,3 +306,34 @@ def test_triangles_are_listed_once_per_graph(monkeypatch):
     assert listed == [g, reduced] and tris is not enumerate_triangles(g)
     assert list(tris.triangles) == triangles_by_combinations(reduced)
     assert enumerate_triangles(reduced) is tris and len(listed) == 2
+
+
+@pytest.mark.parametrize("alphas", [(0.5,), (1.0, 0.8, 0.6, 0.4, 0.2, 0.01)])
+def test_per_component_sweep_builds_each_subgraph_once(monkeypatch, alphas):
+    """A disconnected graph keeps its component subgraphs, so a per-component
+    sweep runs its BFS and triangle listings once, whatever the alphas."""
+    bfs, listing, roots, listed = tricent.graph._bfs, tricent.graph._list_triangles, [], []
+
+    def counted_bfs(adjacency, root, parent):
+        roots.append(root)
+        return bfs(adjacency, root, parent)
+
+    def counted_listing(graph):
+        listed.append(graph)
+        return listing(graph)
+
+    monkeypatch.setattr(tricent.graph, "_bfs", counted_bfs)
+    monkeypatch.setattr(tricent.graph, "_list_triangles", counted_listing)
+    g = Graph.from_edge_labels([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f")])
+    reports = [atec_per_component(g, alpha) for alpha in alphas]
+    subgraphs = g._component_subgraphs
+    assert [sub.labels for sub in subgraphs] == [("a", "b", "c"), ("d", "e", "f")]
+    assert len(roots) == 4  # the graph's two components, then one per subgraph
+    assert listed == list(subgraphs)
+    assert all(g._component_subgraphs is subgraphs for _ in reports)
+
+
+def test_connected_graph_does_not_keep_itself_as_a_subgraph():
+    g = load_dataset("karate")
+    atec_per_component(g, 0.5)
+    assert "_component_subgraphs" not in vars(g)

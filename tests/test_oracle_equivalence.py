@@ -47,7 +47,7 @@ from tricent import (
 )
 from tricent import analysis, centrality, tensor
 from tricent.analysis import RANK_TIE_TOL, TRIANGLE_TIE_TOL, _rank_triangles
-from tricent.graph import _induced
+from tricent.graph import _induced, _list_triangles
 from tricent.report import VERTEX_TIE_TOL
 from tricent.tensor import MAX_VERTICES
 
@@ -201,6 +201,47 @@ def test_apply_matches_one_pass_on_celegans(celegans, celegans_triangles):
             assert op.apply(x).tobytes() == apply_in_one_pass(op, x).tobytes()
 
 
+def test_operators_of_a_sweep_share_one_read_only_pattern():
+    """Operators on a graph's own listing share its alpha-free index arrays
+    and edge positions; only the coefficients are built per alpha."""
+    graph = load_dataset("karate")  # a fresh Graph: nothing cached yet
+    triangles = enumerate_triangles(graph)
+    ops = [AlphaTriangleOperator(graph, triangles, alpha) for alpha in ALPHAS]
+    pattern = vars(graph)["_operator_pattern"]
+    for op in ops:
+        assert all(got is want for got, want in zip((op._rows, op._cols_j, op._cols_k), pattern))
+    for arr in pattern:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+    assert np.array_equal(pattern[3], np.flatnonzero(pattern[1] == pattern[2]))
+    for op, alpha in zip(ops, ALPHAS):
+        _, _, _, coeffs = operator_arrays_by_loops(graph, triangles, alpha)
+        assert op._coeffs.tobytes() == coeffs.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_pattern_apply_matches_dense_and_a_separate_listing(seed):
+    """apply() through the graph's shared pattern is bitwise equal to the dense
+    contraction and to an operator on a separately listed TriangleSet, which
+    builds its own pattern without listing the graph's triangles."""
+    rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, rng.randint(3, 14), 0.5)
+    separate = _list_triangles(graph)
+    owns = [AlphaTriangleOperator(graph, separate, alpha) for alpha in ALPHAS]
+    assert "_triangles" not in vars(graph) and "_operator_pattern" not in vars(graph)
+    for own, alpha in zip(owns, ALPHAS):
+        shared = AlphaTriangleOperator(graph, enumerate_triangles(graph), alpha)
+        assert shared._rows is vars(graph)["_operator_pattern"][0]
+        assert own._rows is not shared._rows and not own._rows.flags.writeable
+        dense = materialize_tensor(graph, separate, alpha)
+        for _ in range(3):
+            x = nprng.uniform(0.05, 2.0, size=graph.n)
+            got = shared.apply(x).tobytes()
+            assert got == contract_tensor(dense, x).tobytes()
+            assert got == own.apply(x).tobytes()
+
+
 def test_operator_rejects_graphs_beyond_the_key_range():
     too_big = types.SimpleNamespace(n=MAX_VERTICES + 1)
     with pytest.raises(ValueError, match=f"at most {MAX_VERTICES}"):
@@ -222,6 +263,41 @@ def test_vertex_ranking_matches_loop_ranking(graph):
     for scores, tie_tol in cases:
         report = make_report("x", {}, graph.labels, scores, "raw", tie_tol=tie_tol)
         assert report.ranking == rank_scores(graph.labels, scores, tie_tol)
+
+
+MIXED_LABELS = ["10", "9", "a", "01", "+1", "B", "1_0", "-3", "é", "2", "x", "100"]
+
+
+def relabel_mixed(graph: Graph, seed: int) -> Graph:
+    """graph under a seeded renaming onto MIXED_LABELS (at most 12 vertices)."""
+    names = MIXED_LABELS[: graph.n]
+    random.Random(seed).shuffle(names)
+    return Graph.from_edge_labels([(names[u], names[v]) for u, v in graph.edges])
+
+
+def complete_bipartite(m: int, n: int) -> Graph:
+    return Graph.from_edge_labels([(f"u{i}", f"v{j}") for i in range(m) for j in range(n)])
+
+
+TIE_HEAVY = [
+    relabel_mixed(oracles.star_graph(9), 1),
+    relabel_mixed(complete_bipartite(3, 4), 2),
+    relabel_mixed(complete_bipartite(2, 7), 3),
+    relabel_mixed(oracles.cycle_graph(12), 4),
+    relabel_mixed(oracles.complete_graph(6), 5),
+    relabel_mixed(diamond_chain(3), 6),
+    complete_bipartite(4, 5),
+]
+
+
+@pytest.mark.parametrize("graph", TIE_HEAVY, ids=lambda g: f"n{g.n}m{g.m}")
+def test_tie_heavy_rankings_match_loop_ranking(graph):
+    """Whole tie groups order by label, numeric and non-numeric mixed."""
+    reports = [degree_centrality(graph), eigenvector_centrality(graph)]
+    reports += [atec(graph, alpha) for alpha in (1.0, 0.5, 0.01)]
+    for report in reports:
+        assert report.ranking == rank_scores(graph.labels, report.scores, VERTEX_TIE_TOL)
+        assert len({e.tie_group for e in report.ranking}) < graph.n  # a group of two or more
 
 
 @pytest.mark.parametrize(

@@ -73,3 +73,32 @@ def test_atec_ranking_survives_relabeling(g14):
     moved_ranks = {e.label: e.rank for e in moved.ranking}
     base_ranks = {lab: e.rank for lab, e in zip(base_order, base.ranking)}
     assert all(moved_ranks[lab] == base_ranks[lab] for lab in base_order)
+
+
+def test_rows_are_named_tuples_with_the_old_fields_and_repr():
+    from tricent import RankedTriangle, RankedVertex
+
+    vertex = RankedVertex("a", 0.5, 1, 0)
+    assert RankedVertex._fields == ("label", "score", "rank", "tie_group")
+    assert repr(vertex) == "RankedVertex(label='a', score=0.5, rank=1, tie_group=0)"
+    assert (vertex.label, vertex.score, vertex.rank, vertex.tie_group) == ("a", 0.5, 1, 0)
+    assert vertex == ("a", 0.5, 1, 0)
+    label, score, rank, group = vertex
+    assert (label, score, rank, group) == ("a", 0.5, 1, 0)
+
+    triangle = RankedTriangle(("1", "2", "10"), 0.25, 3)
+    assert RankedTriangle._fields == ("vertices", "score", "rank")
+    assert repr(triangle) == "RankedTriangle(vertices=('1', '2', '10'), score=0.25, rank=3)"
+    assert triangle == (("1", "2", "10"), 0.25, 3)
+
+
+def test_report_rows_are_built_as_named_tuples(karate):
+    from tricent import RankedTriangle, RankedVertex, enumerate_triangles, triangle_importance
+
+    report = atec(karate, 0.2)
+    assert all(type(e) is RankedVertex for e in report.ranking)
+    assert all(type(e.label) is str and type(e.score) is float for e in report.ranking)
+    assert all(type(e.rank) is int and type(e.tie_group) is int for e in report.ranking)
+    ranking = triangle_importance(karate, enumerate_triangles(karate), report)
+    assert all(type(e) is RankedTriangle and type(e.vertices) is tuple for e in ranking.entries)
+    assert all(type(e.score) is float and type(e.rank) is int for e in ranking.entries)
