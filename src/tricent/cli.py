@@ -278,6 +278,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs at least two alpha values")
     if args.top is not None and args.top < 1:
         raise UsageError("--top must be a positive integer")
+    for alpha in alphas:  # every alpha is checked before any is solved
+        _check_alpha(alpha)
     reports = [_compute_measure("atec", a, graph, tol, args.per_component) for a in alphas]
 
     order = label_order(graph.labels)

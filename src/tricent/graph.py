@@ -7,7 +7,7 @@ TriangleSet.triangle_array) are read-only. A Graph finds its connected
 components and lists its triangles on first use and keeps both: every
 connectivity check reads that one partition, and every enumerate_triangles
 call on it returns that one TriangleSet. It keeps, on first use too, the
-alpha-free index pattern of its alpha-triangle operator (tensor) and, when
+alpha-free entry layout of its alpha-triangle operator (tensor) and, when
 disconnected, the subgraph of each component, so an alpha sweep does the
 per-graph work once.
 
@@ -109,7 +109,7 @@ class Graph:
     def _component_subgraphs(self) -> tuple["Graph", ...]:
         """The induced subgraph of every component, in _components order,
         built on first use, so each keeps its own triangles and operator
-        pattern. Read only on a disconnected graph: a connected one is its
+        layout. Read only on a disconnected graph: a connected one is its
         own component, and keeping itself here would make a reference cycle."""
         return tuple(_induced(self, np.array(comp, dtype=np.int64)) for comp in self._components)
 

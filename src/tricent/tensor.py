@@ -24,25 +24,33 @@ the adjacency matrix, computes eigenvector centrality. At depth 0 it is the
 plain power iteration, bitwise equal to the loops in the test suite's
 oracles.
 
-The tensor is never materialized: the operator stores flattened
-(i, j, k, coefficient) contribution arrays in lexicographic (i, j, k) order
-and accumulates them strictly in that order, so apply() is bitwise equal to
-a naive triple-loop contraction of the dense tensor (the test suite's
-oracle). The build stacks the 2m edge entries (i, j, j) and the 6T triangle
-entries (i, j, k), (i, k, j), sorts them once on the int64 key that packs
-i, j and k into b bits each (b the bit length of n - 1) and unpacks i, j, k
-from the sorted keys with shifts and masks; edge entries are exactly those
-with j == k. Keys take 3b bits, so the operator accepts at most
-MAX_VERTICES = 2 097 151 vertices (n^3 < 2^63, and b <= 21). Only the
-coefficients depend on alpha: a graph keeps the read-only (i, j, k) pattern
-and edge positions of its own triangle listing, so the operators of an
-alpha sweep share one pattern and each fills in its coefficients alone.
+The tensor is never materialized. The operator's entries are the 2m edge
+entries (i, j, j) and the 6T triangle entries (i, j, k), (i, k, j). apply()
+sums every row as 0.0 + t_0 + t_1 + ... over its entries in ascending
+(j, k) order, so it is bitwise equal to a naive triple-loop contraction of
+the dense tensor (the test suite's oracle). Each term is (c * x_j) * x_k
+with c = alpha for an edge entry (j == k) and (1 - alpha) / 2 otherwise, so
+apply() gathers c * x_j from the vector [alpha * x, (1 - alpha) / 2 * x] and
+stores no per-entry coefficient. The entries are kept in jagged-diagonal
+storage (Saad, 1989): rows ordered by descending entry count, and slice t
+holding the t-th entry of every row with more than t entries. Those rows
+come first in that order, so a slice is one contiguous add. Slices exist
+while at least _SLICE_MIN_ROWS rows reach them; each row's later entries
+follow, in order, through np.add.at. The build sorts the entries once on
+the int64 key that packs the row's place in that order, j and k into b bits
+each (b the bit length of n - 1), gathers each slice from the sorted keys
+and unpacks j and k with shifts and masks. Keys take 3b bits, so the
+operator accepts at most MAX_VERTICES = 2 097 151 vertices (n^3 < 2^63, and
+b <= 21). Nothing in the layout depends on alpha: a graph keeps the
+read-only layout of its own triangle listing, so the operators of an alpha
+sweep share one and each costs O(1) to build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +61,19 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_SHIFT = 1.0
 MAX_VERTICES = 2**21 - 1  # largest n with n^3 < 2^63, so int64 entry keys cannot wrap
-# apply() works through its entries in blocks of this many, so each float
-# temporary is 64 KiB: below glibc's initial and lowest mmap threshold
-# (128 KiB), it comes from the heap instead of a fresh mmap that faults its
-# pages in. Temporaries of the full entry length ran at full speed or about
-# 1.6x slower, depending on what earlier allocations did to that threshold.
+# apply() works through its entries in blocks of this many, a slice longer
+# than a block taking several, so each float temporary is 64 KiB: below
+# glibc's initial and lowest mmap threshold (128 KiB), it comes from the heap
+# instead of a fresh mmap that faults its pages in. Temporaries of the full
+# entry length ran at full speed or about 1.6x slower, depending on what
+# earlier allocations did to that threshold. The layout is cut into blocks
+# when it is built.
 _APPLY_BLOCK = 8192
+# Fewest rows a slice of the layout may cover. Shorter slices cost more numpy
+# calls than they save (apply() time was flat from 128 to 1024 rows on a
+# 20 000-vertex graph); every entry past the last slice goes through
+# np.add.at, so graphs with fewer vertices never take the slice path.
+_SLICE_MIN_ROWS = 1024
 # Anderson mixing depth of the Perron solver; 0 runs the plain power iteration
 _ANDERSON_DEPTH = 5
 # Mixing stops once an iterate's Collatz-Wielandt ratios agree to within this
@@ -114,57 +129,124 @@ class AlphaTriangleOperator:
         self.graph = graph
         self.triangles = triangles
         self.n = graph.n
-        self._rows, self._cols_j, self._cols_k, edges = _operator_pattern(graph, triangles)
-        self._coeffs = np.full(len(self._rows), (1.0 - self.alpha) * 0.5)
-        self._coeffs[edges] = self.alpha
+        self._layout = _operator_layout(graph, triangles)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(A x^2)_i, accumulated per component in ascending (j, k) order."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}, got shape {x.shape}")
-        out = np.zeros(self.n)
-        for start in range(0, len(self._rows), _APPLY_BLOCK):
-            block = slice(start, start + _APPLY_BLOCK)
-            contributions = self._coeffs[block] * x[self._cols_j[block]]
-            contributions *= x[self._cols_k[block]]
-            np.add.at(out, self._rows[block], contributions)
-        return out
+        n = self.n
+        if x.shape != (n,):
+            raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
+        scaled = np.empty(2 * n)  # c * x_j for an edge entry, then for a triangle entry
+        np.multiply(x, self.alpha, out=scaled[:n])
+        np.multiply(x, (1.0 - self.alpha) * 0.5, out=scaled[n:])
+        layout = self._layout
+        out = np.zeros(n)  # rows in the layout's order
+        for jj, kk, adds in layout.slices:
+            terms = scaled[jj]
+            terms *= x[kk]
+            for u, v, s, e in adds:
+                part = out[s:e]
+                np.add(part, terms[u:v], out=part)
+        for jj, kk, rows in layout.tail:
+            terms = scaled[jj]
+            terms *= x[kk]
+            np.add.at(out, rows, terms)
+        return out[layout.position]
 
 
-def _operator_pattern(
-    graph: Graph, triangles: TriangleSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The operator's read-only, alpha-free arrays: rows, cols_j, cols_k and
-    the positions of the edge entries (j == k).
+class _Layout(NamedTuple):
+    """An operator's alpha-free entries in jagged-diagonal storage.
 
-    The graph keeps the pattern of its own listing, found in its __dict__ so
-    that the check never lists; any other TriangleSet gets its own pattern.
+    Rows are laid out by descending entry count (a stable sort); vertex i's
+    row is row position[i] of the layout. Entry (i, j, k) is held as jj = j
+    + n * [j != k], the index of c * x_j in apply()'s scaled vector, and kk
+    = k. slices holds (jj, kk, adds) blocks of slice entries; each (u, v, s,
+    e) in adds sums the block's terms u:v into rows s:e. tail holds (jj, kk,
+    rows) blocks of every entry past the last slice, row by row and each
+    row's in (j, k) order. Every array is read-only and no block is longer
+    than _APPLY_BLOCK.
+    """
+
+    position: np.ndarray
+    slices: tuple[tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, int, int], ...]], ...]
+    tail: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _operator_layout(graph: Graph, triangles: TriangleSet) -> _Layout:
+    """The operator's read-only, alpha-free layout (see _Layout).
+
+    The graph keeps the layout of its own listing, found in its __dict__ so
+    that the check never lists; any other TriangleSet gets its own layout.
     """
     cache = vars(graph)
     own = cache.get("_triangles") is triangles
-    if own and "_operator_pattern" in cache:
-        return cache["_operator_pattern"]
-    bits = max(graph.n - 1, 1).bit_length()
+    if own and "_operator_layout" in cache:
+        return cache["_operator_layout"]
+    n = graph.n
+    edges, tris = graph.edge_array, triangles.triangle_array
+    # a row holds one entry per neighbour and two per triangle through it
+    counts = np.bincount(edges.ravel(), minlength=n)
+    counts += 2 * np.bincount(tris.ravel(), minlength=n)
+    order = np.argsort(-counts, kind="stable")
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    reach = n - np.cumsum(np.bincount(counts))  # reach[t]: rows with more than t entries
+    reach = reach[: np.count_nonzero(reach >= _SLICE_MIN_ROWS)]  # reach never rises
+    first = np.concatenate(([0], np.cumsum(reach))).tolist()  # slice t's first entry
+
+    bits = max(n - 1, 1).bit_length()
     mask = (1 << bits) - 1
-    u, v = graph.edge_array.T
-    p, q, r = triangles.triangle_array.T
+    u, v = edges.T
+    p, q, r = tris.T
     keys = np.concatenate([
-        (i << bits | j) << bits | k
+        (position[i] << bits | j) << bits | k
         for i, j, k in (
             (u, v, v), (v, u, u),
             (p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p),
         )
     ])
-    keys.sort()
-    rows = (keys >> 2 * bits).astype(np.intp, copy=False)
-    cols_j = (keys >> bits & mask).astype(np.intp, copy=False)
-    keys &= mask
-    cols_k = keys.astype(np.intp, copy=False)
-    pattern = (rows, cols_j, cols_k, np.flatnonzero(cols_j == cols_k))
-    for arr in pattern:
+    keys.sort()  # by layout row, then j, then k
+    row_start = np.cumsum(counts[order]) - counts[order]
+    laid = np.empty_like(keys)  # the slices, then the tail
+    in_tail = np.ones(len(keys), dtype=bool)
+    for t, (start, stop) in enumerate(zip(first, first[1:])):
+        entry = row_start[: stop - start] + t  # the t-th entry of rows 0:stop-start
+        laid[start:stop] = keys[entry]
+        in_tail[entry] = False
+    total = first[-1]
+    np.compress(in_tail, keys, out=laid[total:])
+    # at most two entry-length arrays live at once: a larger build transient
+    # stayed resident and raised the peak memory of a whole sweep
+    del keys, in_tail
+    tail_rows = (laid[total:] >> 2 * bits).astype(np.intp, copy=False)
+    kk = (laid & mask).astype(np.intp, copy=False)
+    laid >>= bits
+    laid &= mask
+    jj = laid.astype(np.intp, copy=False)
+    np.add(jj, n, out=jj, where=jj != kk)
+
+    for arr in (position, jj, kk, tail_rows):
         arr.setflags(write=False)
-    return cache.setdefault("_operator_pattern", pattern) if own else pattern
+    block = _APPLY_BLOCK
+    adds = [[] for _ in range(0, total, block)]
+    for start, stop in zip(first, first[1:]):
+        # slice [start, stop) fills rows 0:stop-start; cut it where blocks are cut
+        cuts = [start, *range(start - start % block + block, stop, block), stop]
+        for a, b in zip(cuts, cuts[1:]):
+            adds[a // block].append((a % block, a % block + b - a, a - start, b - start))
+    layout = _Layout(
+        position,
+        tuple(
+            (jj[a : a + block], kk[a : a + block], tuple(block_adds))
+            for a, block_adds in zip(range(0, total, block), adds)
+        ),
+        tuple(
+            (jj[a : a + block], kk[a : a + block], tail_rows[a - total : a - total + block])
+            for a in range(total, len(jj), block)
+        ),
+    )
+    return cache.setdefault("_operator_layout", layout) if own else layout
 
 
 def build_operator(graph: Graph, triangles: TriangleSet, alpha: float) -> AlphaTriangleOperator:

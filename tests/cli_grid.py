@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -27,8 +28,48 @@ import tempfile
 from pathlib import Path
 
 DATASETS = ("karate", "dolphins", "celegans-metabolic", "paper-g14")
+
+
+def clustered_text(n: int, seed: int) -> str:
+    """Edge text of a seeded Holme-Kim clustered power-law graph on n vertices.
+
+    A clique on five vertices, then each new vertex links to four others: a
+    degree-biased pick, then with probability 0.6 a neighbour of the last
+    such pick (closing a triangle), otherwise another degree-biased pick.
+    The graph is connected, and at n = 2000 apply() sums about half of its
+    entries in slices. It is generated here, not by the test oracles, because
+    the grid imports nothing from the package it runs.
+    """
+    rng = random.Random(seed)
+    pairs = [(u, v) for v in range(5) for u in range(v)]
+    adj = [set() for _ in range(n)]
+    ends = []  # one entry per edge end, so a uniform pick is degree-biased
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+        ends += (u, v)
+    for v in range(5, n):
+        chosen: set[int] = set()
+        last = None
+        while len(chosen) < 4:
+            if last is not None and rng.random() < 0.6:
+                nbrs = sorted(adj[last] - chosen)
+                if nbrs:
+                    chosen.add(rng.choice(nbrs))
+                    continue
+            last = rng.choice(ends)
+            chosen.add(last)
+        for w in sorted(chosen):
+            adj[v].add(w)
+            adj[w].add(v)
+            ends += (w, v)
+            pairs.append((w, v))
+    return "".join(f"{u} {v}\n" for u, v in pairs)
+
+
 # edge-list texts the grid writes itself
 TEXTS = {
+    "clustered-2000": clustered_text(2000, 11),
     "odd-labels": 'a,b q"r\nq"r c\nc a,b\nc d\nd e\ne c\n',
     "disconnected": "a b\nb c\na c\nd e\ne f\nd f\ng h\n",
     "triangle-free": "1 2\n2 3\n3 4\n4 5\n",
@@ -87,6 +128,9 @@ SINGLE_RUNS = (
     ("karate", ("sweep", "--alphas", "1,x"), {}),
     ("karate", ("sweep", "--alphas", "0.5"), {}),
     ("karate", ("sweep", "--alphas", "1,0.5", "--top", "0"), {}),
+    # every alpha is checked before any is solved
+    ("karate", ("sweep", "--alphas", "1,1.5"), {}),
+    ("disconnected", ("sweep", "--alphas", "1,1.5"), {}),
     ("karate", ("sweep", "--alphas", "1,0.5"), {"TRICENT_TOL": "abc"}),
     ("karate", ("sweep", "--alphas", "1,0.5"), {"TRICENT_TOL": "inf"}),
     ("karate", ("compare", "--measure", "dc"), {}),
@@ -95,6 +139,10 @@ SINGLE_RUNS = (
     ("karate", ("connectivity", "--remove", ","), {}),
     ("slow-gap", ("centrality", "--alpha", "0.5"), {"TRICENT_TOL": "1e-300"}),
     ("malformed", ("stats",), {}),
+    # the only input large enough for apply()'s slices
+    ("clustered-2000", ("centrality", "--alpha", "0.2"), {}),
+    ("clustered-2000", ("sweep", "--alphas", "1,0.2,0.01", "--format", "json"), {}),
+    ("clustered-2000", ("triangles",), {}),
     (None, ("stats", "--input", "missing.edges"), {}),
     (None, ("--version",), {}),
     (None, ("-h",), {}),

@@ -848,9 +848,51 @@ def eigenvector_centrality_by_loop(
     )
 
 
-def apply_in_one_pass(op, x: np.ndarray) -> np.ndarray:
-    """AlphaTriangleOperator.apply as it was, without blocks."""
-    contributions = op._coeffs * x[op._cols_j] * x[op._cols_k]
-    out = np.zeros(op.n)
-    np.add.at(out, op._rows, contributions)
+def apply_by_add_at(arrays, x: np.ndarray, block: int) -> np.ndarray:
+    """AlphaTriangleOperator.apply as it was before its sliced layout: the
+    (rows, cols_j, cols_k, coeffs) arrays of operator_arrays_by_loops, added
+    by np.add.at in blocks of `block` entries."""
+    rows, cols_j, cols_k, coeffs = arrays
+    out = np.zeros(len(x))
+    for start in range(0, len(rows), block):
+        part = slice(start, start + block)
+        contributions = coeffs[part] * x[cols_j[part]]
+        contributions *= x[cols_k[part]]
+        np.add.at(out, rows[part], contributions)
     return out
+
+
+def operator_arrays_from_layout(op) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols_j, cols_k, coeffs) read back from an operator's layout.
+
+    Rows ascend, and each row's entries come in the order apply() adds them:
+    slice by slice, then the row's entries past the last slice. So they equal
+    operator_arrays_by_loops exactly only if every row is summed in
+    ascending (j, k) order with the coefficient its entry selects.
+    """
+    layout = op._layout
+    n = op.n
+    vertex_at = np.argsort(layout.position)  # the vertex of each layout row
+    rows, jj, kk = [], [], []
+    for block_jj, block_kk, adds in layout.slices:
+        for u, v, s, e in adds:
+            rows.append(vertex_at[s:e])
+            jj.append(block_jj[u:v])
+            kk.append(block_kk[u:v])
+    for block_jj, block_kk, block_rows in layout.tail:
+        rows.append(vertex_at[block_rows])
+        jj.append(block_jj)
+        kk.append(block_kk)
+    rows, jj, kk = (np.concatenate(parts) for parts in (rows, jj, kk))
+    order = np.argsort(rows, kind="stable")
+    rows, jj, kk = rows[order], jj[order], kk[order]
+    triangle = jj >= n
+    coeffs = np.where(triangle, (1.0 - op.alpha) * 0.5, op.alpha)
+    return rows, jj - n * triangle, kk, coeffs
+
+
+def layout_arrays(layout) -> list[np.ndarray]:
+    """Every array an operator layout holds."""
+    return [layout.position, *(arr for block in layout.slices for arr in block[:2])] + [
+        arr for block in layout.tail for arr in block
+    ]

@@ -252,6 +252,20 @@ class TestSweepCommand:
         assert (code, out, solves) == (2, "", [])
         assert "--top must be a positive integer" in err
 
+    @pytest.mark.parametrize("per_component", (False, True))
+    def test_out_of_domain_alpha_is_rejected_before_any_solve(
+        self, capsys, k3_file, monkeypatch, per_component
+    ):
+        solves = []
+        for name in ("atec", "atec_per_component"):
+            monkeypatch.setattr(tricent.cli, name, lambda *a, **k: solves.append(a))
+        flags = ("--per-component",) if per_component else ()
+        code, out, err = run(
+            capsys, "sweep", "--input", str(k3_file), "--alphas", "1,1.5,0", *flags
+        )
+        assert (code, out, solves) == (2, "", [])
+        assert err.startswith("usage error: alpha must lie in (0, 1], got 1.5;")
+
     def test_top_json_alphas_are_numbers(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--input", str(dataset_path("karate")),

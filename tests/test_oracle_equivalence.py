@@ -54,7 +54,7 @@ from tricent.tensor import MAX_VERTICES
 import oracles
 from oracles import (
     adjacency_of,
-    apply_in_one_pass,
+    apply_by_add_at,
     average_ranks,
     betweenness_by_loop,
     contract_tensor,
@@ -64,8 +64,10 @@ from oracles import (
     holme_kim_graph,
     induced,
     kendall_tau_b,
+    layout_arrays,
     materialize_tensor,
     operator_arrays_by_loops,
+    operator_arrays_from_layout,
     pearson_of_ranks,
     random_connected_graph,
     rank_scores,
@@ -145,6 +147,17 @@ def chained_scores(rng: random.Random, count: int, tie_tol: float) -> np.ndarray
 GRAPHS = sample_graphs()
 
 
+def kernel_graphs() -> list[Graph]:
+    rng = random.Random(31)
+    graphs = [load_dataset(name) for name in dataset_names()]
+    graphs += [oracles.random_tree(rng, n) for n in (2, 3, 9, 30)]  # bipartite
+    graphs += [random_connected_graph(rng, n, p) for n, p in ((5, 0.5), (20, 0.2), (40, 0.1))]
+    return graphs
+
+
+KERNEL_GRAPHS = kernel_graphs()
+
+
 def test_sample_covers_triangle_free_and_triangle_rich_graphs():
     counts = [len(enumerate_triangles(g)) for g in GRAPHS]
     assert GRAPHS[0].m == 1
@@ -152,26 +165,28 @@ def test_sample_covers_triangle_free_and_triangle_rich_graphs():
     assert max(counts) >= 50
 
 
+def assert_layout_matches_loop_build(op, graph, triangles):
+    """The entries read back from op's layout, in the order apply() adds them,
+    and each entry's selected coefficient equal the loop build bitwise."""
+    got = operator_arrays_from_layout(op)
+    want = operator_arrays_by_loops(graph, triangles, op.alpha)
+    for got_arr, want_arr in zip(got, want):
+        assert got_arr.dtype == want_arr.dtype
+        assert got_arr.tobytes() == want_arr.tobytes()
+
+
 @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_operator_build_matches_loop_build(graph):
     triangles = enumerate_triangles(graph)
     for alpha in ALPHAS:
-        op = AlphaTriangleOperator(graph, triangles, alpha)
-        rows, cols_j, cols_k, coeffs = operator_arrays_by_loops(graph, triangles, alpha)
-        for got, want in ((op._rows, rows), (op._cols_j, cols_j), (op._cols_k, cols_k)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-        assert op._coeffs.dtype == coeffs.dtype
-        assert op._coeffs.tobytes() == coeffs.tobytes()
+        assert_layout_matches_loop_build(
+            AlphaTriangleOperator(graph, triangles, alpha), graph, triangles
+        )
 
 
 def test_operator_build_matches_loop_build_on_celegans(celegans, celegans_triangles):
     op = AlphaTriangleOperator(celegans, celegans_triangles, 0.2)
-    rows, cols_j, cols_k, coeffs = operator_arrays_by_loops(celegans, celegans_triangles, 0.2)
-    assert np.array_equal(op._rows, rows)
-    assert np.array_equal(op._cols_j, cols_j)
-    assert np.array_equal(op._cols_k, cols_k)
-    assert op._coeffs.tobytes() == coeffs.tobytes()
+    assert_layout_matches_loop_build(op, celegans, celegans_triangles)
 
 
 @pytest.mark.parametrize("block", (1, 5, 64))
@@ -186,54 +201,112 @@ def test_apply_blocks_are_exact(monkeypatch, block):
         alpha = rng.uniform(0.02, 1.0)
         op = AlphaTriangleOperator(graph, triangles, alpha)
         dense = materialize_tensor(graph, triangles, alpha)
+        arrays = operator_arrays_by_loops(graph, triangles, alpha)
         x = nprng.uniform(0.05, 2.0, size=graph.n)
         assert op.apply(x).tobytes() == contract_tensor(dense, x).tobytes()
-        assert op.apply(x).tobytes() == apply_in_one_pass(op, x).tobytes()
+        assert op.apply(x).tobytes() == apply_by_add_at(arrays, x, len(arrays[0])).tobytes()
 
 
 def test_apply_matches_one_pass_on_celegans(celegans, celegans_triangles):
     nprng = np.random.default_rng(5)
     for alpha in (1.0, 0.2, 0.01):
         op = AlphaTriangleOperator(celegans, celegans_triangles, alpha)
-        assert len(op._rows) > 2 * tensor._APPLY_BLOCK
+        arrays = operator_arrays_by_loops(celegans, celegans_triangles, alpha)
+        assert len(arrays[0]) > 2 * tensor._APPLY_BLOCK
         for _ in range(5):
             x = nprng.uniform(0.05, 2.0, size=celegans.n)
-            assert op.apply(x).tobytes() == apply_in_one_pass(op, x).tobytes()
+            assert op.apply(x).tobytes() == apply_by_add_at(arrays, x, len(arrays[0])).tobytes()
+
+
+# below this many vertices the slice test also holds apply() to the dense contraction
+DENSE_CHECK_VERTICES = 40
+
+
+@pytest.mark.parametrize("graph", GRAPHS + KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_sliced_apply_is_exact(monkeypatch, graph):
+    """apply() through slices of any depth and blocks of any size is bitwise
+    equal to the dense contraction and to the blocked np.add.at kernel it
+    replaced: a threshold of 1 puts every entry in a slice, 3 splits rows
+    between slices and np.add.at, and a huge one leaves only np.add.at."""
+    triangles = _list_triangles(graph)  # a layout of its own, built under each patch
+    nprng = np.random.default_rng(graph.n * 1000 + graph.m)
+    cases = []
+    for alpha in (0.8, 0.01):
+        arrays = operator_arrays_by_loops(graph, triangles, alpha)
+        x = nprng.uniform(0.05, 2.0, size=graph.n)
+        want = apply_by_add_at(arrays, x, 8192).tobytes()
+        if graph.n <= DENSE_CHECK_VERTICES:
+            assert contract_tensor(materialize_tensor(graph, triangles, alpha), x).tobytes() == want
+        cases.append((alpha, x, want))
+    for threshold in (1, 3, 2**62):
+        monkeypatch.setattr(tensor, "_SLICE_MIN_ROWS", threshold)
+        for block in (1, 5, 64, 8192):
+            monkeypatch.setattr(tensor, "_APPLY_BLOCK", block)
+            for alpha, x, want in cases:
+                op = AlphaTriangleOperator(graph, triangles, alpha)
+                if threshold == 1:
+                    assert op._layout.tail == ()
+                elif threshold > graph.n:
+                    assert op._layout.slices == ()
+                assert op.apply(x).tobytes() == want
+                assert all(len(arr) <= block for arr in layout_arrays(op._layout)[1:])
+            assert_layout_matches_loop_build(op, graph, triangles)
+
+
+def test_default_threshold_slices_a_large_graph():
+    """On a graph with enough vertices the slice path engages by itself; the
+    operators of its sweep share one read-only layout, and each one's
+    apply() is bitwise equal to the blocked np.add.at kernel."""
+    graph = holme_kim_graph(random.Random(1500), 1600)
+    triangles = enumerate_triangles(graph)
+    nprng = np.random.default_rng(1500)
+    ops = [AlphaTriangleOperator(graph, triangles, alpha) for alpha in (1.0, 0.2, 0.01)]
+    layout = vars(graph)["_operator_layout"]
+    assert all(op._layout is layout for op in ops)
+    assert len(layout.slices) > 0 and len(layout.tail) > 0
+    for arr in layout_arrays(layout):
+        assert not arr.flags.writeable
+    for op in ops:
+        assert_layout_matches_loop_build(op, graph, triangles)
+        arrays = operator_arrays_by_loops(graph, triangles, op.alpha)
+        for _ in range(2):
+            x = nprng.uniform(0.05, 2.0, size=graph.n)
+            assert op.apply(x).tobytes() == apply_by_add_at(arrays, x, 8192).tobytes()
 
 
 def test_operators_of_a_sweep_share_one_read_only_pattern():
-    """Operators on a graph's own listing share its alpha-free index arrays
-    and edge positions; only the coefficients are built per alpha."""
+    """Operators on a graph's own listing share its alpha-free layout; an
+    operator holds nothing per alpha but alpha itself."""
     graph = load_dataset("karate")  # a fresh Graph: nothing cached yet
     triangles = enumerate_triangles(graph)
     ops = [AlphaTriangleOperator(graph, triangles, alpha) for alpha in ALPHAS]
-    pattern = vars(graph)["_operator_pattern"]
-    for op in ops:
-        assert all(got is want for got, want in zip((op._rows, op._cols_j, op._cols_k), pattern))
-    for arr in pattern:
+    layout = vars(graph)["_operator_layout"]
+    assert all(op._layout is layout for op in ops)
+    assert isinstance(layout.slices, tuple) and isinstance(layout.tail, tuple)
+    for arr in layout_arrays(layout):
         with pytest.raises(ValueError, match="read-only"):
-            arr[0] = arr[1]
-    assert np.array_equal(pattern[3], np.flatnonzero(pattern[1] == pattern[2]))
-    for op, alpha in zip(ops, ALPHAS):
-        _, _, _, coeffs = operator_arrays_by_loops(graph, triangles, alpha)
-        assert op._coeffs.tobytes() == coeffs.tobytes()
+            arr[0] = arr[-1]
+    for op in ops:
+        assert set(vars(op)) == {"alpha", "graph", "triangles", "n", "_layout"}
+        assert_layout_matches_loop_build(op, graph, triangles)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_shared_pattern_apply_matches_dense_and_a_separate_listing(seed):
-    """apply() through the graph's shared pattern is bitwise equal to the dense
+    """apply() through the graph's shared layout is bitwise equal to the dense
     contraction and to an operator on a separately listed TriangleSet, which
-    builds its own pattern without listing the graph's triangles."""
+    builds its own layout without listing the graph's triangles."""
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, rng.randint(3, 14), 0.5)
     separate = _list_triangles(graph)
     owns = [AlphaTriangleOperator(graph, separate, alpha) for alpha in ALPHAS]
-    assert "_triangles" not in vars(graph) and "_operator_pattern" not in vars(graph)
+    assert "_triangles" not in vars(graph) and "_operator_layout" not in vars(graph)
     for own, alpha in zip(owns, ALPHAS):
         shared = AlphaTriangleOperator(graph, enumerate_triangles(graph), alpha)
-        assert shared._rows is vars(graph)["_operator_pattern"][0]
-        assert own._rows is not shared._rows and not own._rows.flags.writeable
+        assert shared._layout is vars(graph)["_operator_layout"]
+        assert own._layout is not shared._layout
+        assert not any(arr.flags.writeable for arr in layout_arrays(own._layout))
         dense = materialize_tensor(graph, separate, alpha)
         for _ in range(3):
             x = nprng.uniform(0.05, 2.0, size=graph.n)
@@ -682,17 +755,6 @@ def test_weak_irreducibility_matches_digraph_oracle(graph):
 
 
 # --- one shifted power kernel -----------------------------------------------
-
-
-def kernel_graphs() -> list[Graph]:
-    rng = random.Random(31)
-    graphs = [load_dataset(name) for name in dataset_names()]
-    graphs += [oracles.random_tree(rng, n) for n in (2, 3, 9, 30)]  # bipartite
-    graphs += [random_connected_graph(rng, n, p) for n, p in ((5, 0.5), (20, 0.2), (40, 0.1))]
-    return graphs
-
-
-KERNEL_GRAPHS = kernel_graphs()
 
 
 def assert_same_spectral(got, want):
