@@ -14,13 +14,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .centrality import fiedler_vector
 from .graph import Graph, TriangleSet, connected_components, remove_vertices
-from .report import CentralityReport, competition_rank, label_positions, label_sort_key
+from .report import CentralityReport, competition_rank, label_sort_key
 
 TRIANGLE_TIE_TOL = 1e-12
 
@@ -81,13 +82,15 @@ def _rank_triangles(
     tie_tol: float,
 ) -> TriangleRanking:
     """Rank triangles by descending score, ties by their label-sorted triples."""
-    pos = label_positions(graph.labels)
+    pos = graph._label_positions
     by_pos = np.empty(graph.n, dtype=object)
     by_pos[pos] = graph.labels
     corners = np.sort(pos[triangles.triangle_array], axis=1)
     order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
-    columns = (map(tuple, by_pos[corners[order]].tolist()), scores[order].tolist(), rank.tolist())
-    entries = tuple(map(RankedTriangle._make, zip(*columns)))
+    triples = zip(*by_pos[corners[order]].T.tolist())  # built from columns: no list per row
+    columns = (triples, scores[order].tolist(), rank.tolist())
+    # tuple.__new__ is what RankedTriangle._make calls, minus a call and a length check
+    entries = tuple(map(tuple.__new__, repeat(RankedTriangle), zip(*columns)))
     return TriangleRanking(index=index, params=dict(params), entries=entries)
 
 

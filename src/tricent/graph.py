@@ -7,14 +7,22 @@ TriangleSet.triangle_array) are read-only. A Graph finds its connected
 components and lists its triangles on first use and keeps both: every
 connectivity check reads that one partition, and every enumerate_triangles
 call on it returns that one TriangleSet. It keeps, on first use too, the
-alpha-free entry layout of its alpha-triangle operator (tensor) and, when
-disconnected, the subgraph of each component, so an alpha sweep does the
-per-graph work once.
+alpha-free entry layout of its alpha-triangle operator (tensor), the place
+of each label in label order (for triangle rankings) and, when disconnected,
+the subgraph of each component, so an alpha sweep does the per-graph work
+once.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:
 the callers intern labels and validate their input, and the builder sorts
 the int64 arc keys once to produce edges, adjacency and edge_array.
+
+Triangles are listed in numpy, without a Python loop per vertex: each edge
+is oriented from its lower-degree end to its higher-degree end, which leaves
+every vertex at most sqrt(2m) out-arcs, and each pair of arcs leaving one
+vertex (a wedge) is checked for its closing edge by a binary search in the
+sorted arc keys. Wedges are checked in fixed-size chunks, so the listing's
+temporaries stay bounded however dense the graph (_triangle_rows).
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
+
+from .report import label_positions
 
 
 class EdgeListParseError(ValueError):
@@ -104,6 +114,14 @@ class Graph:
     def _triangles(self) -> "TriangleSet":
         """The graph's triangles, listed on first use (_list_triangles)."""
         return _list_triangles(self)
+
+    @cached_property
+    def _label_positions(self) -> np.ndarray:
+        """label_positions(labels) as a read-only array, sorted on first use:
+        the place of each vertex's label in label order."""
+        pos = label_positions(self.labels)
+        pos.setflags(write=False)
+        return pos
 
     @cached_property
     def _component_subgraphs(self) -> tuple["Graph", ...]:
@@ -204,11 +222,11 @@ def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Grap
     linenos = array("q")  # no int object kept per line
     parse_error = None
     for lineno, raw in enumerate(stream, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tokens = text.split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if len(tokens) != 2:
+            if not tokens:
+                continue
+            text = raw.split("#", 1)[0].strip()
             parse_error = EdgeListParseError(
                 f"expected two labels, got {len(tokens)}: {text!r}", lineno
             )
@@ -305,7 +323,8 @@ class TriangleSet:
 
     @cached_property
     def triangle_array(self) -> np.ndarray:
-        """triangles as a read-only (T, 3) int64 array, built on first use."""
+        """triangles as a read-only (T, 3) int64 array; the lister stores it,
+        and a TriangleSet made any other way builds it on first use."""
         return _readonly_index_array(self.triangles, 3)
 
     @cached_property
@@ -328,30 +347,75 @@ def enumerate_triangles(graph: Graph) -> TriangleSet:
     return graph._triangles
 
 
-def _list_triangles(graph: Graph) -> TriangleSet:
-    """List every 3-clique once via the degree-ordered forward algorithm.
+# Wedges _triangle_rows checks at a time: its per-chunk temporaries stay
+# within a few MB however dense the graph.
+_WEDGE_CHUNK = 1 << 15
 
-    Vertices are processed in non-increasing degree order (ties by id); each
-    triangle is reported exactly once in O(m^(3/2)) intersections. Output is
-    canonically sorted, so the result is independent of processing order.
+
+def _list_triangles(graph: Graph) -> TriangleSet:
+    """The graph's triangles, canonically sorted, so the result does not
+    depend on the order _triangle_rows finds them in; the sorted (T, 3)
+    array fills triangle_array. The wedge arrays are freed by then, so they
+    add nothing to the memory the sort and the tuples take."""
+    n = graph.n
+    tri = _triangle_rows(graph)
+    tri.sort(axis=1)
+    # rows by (p, q, r): by r, then stably by p * n + q; the one key
+    # (p * n + q) * n + r would overflow int64 past 2**21 vertices
+    tri = tri[np.argsort(tri[:, 2])]
+    tri = tri[np.argsort(tri[:, 0] * n + tri[:, 1], kind="stable")]
+    tri.setflags(write=False)
+    ids = np.arange(n).astype(object)  # one int object per vertex, shared by all tuples
+    triangles = TriangleSet(triangles=tuple(zip(*ids[tri.T].tolist())), n=n)
+    vars(triangles)["triangle_array"] = tri  # fill the cached property
+    return triangles
+
+
+def _triangle_rows(graph: Graph) -> np.ndarray:
+    """List every 3-clique once by checking the wedges of an oriented graph.
+
+    Vertices are ranked by non-increasing degree, ties by id, and every edge
+    becomes an arc from its later-ranked end to its earlier one (the degree
+    order of Chiba & Nishizeki, 1985). The d heads of a vertex's out-arcs have
+    degree at least d each, so d * d <= 2m: no vertex has more than sqrt(2m)
+    out-arcs. A wedge is a pair of arcs leaving one vertex; a triangle has
+    exactly one, at its last-ranked corner, and it is closed by the arc
+    between the other two corners. The wedges are numbered arc by arc and
+    checked _WEDGE_CHUNK at a time, each closing arc looked up in the sorted
+    arc keys. Returns a (T, 3) int64 array with one row of vertex ids per
+    triangle, in the order the wedges find them.
     """
     n = graph.n
-    order = sorted(range(n), key=lambda v: (-len(graph.adjacency[v]), v))
-    rank = [0] * n
-    for pos, v in enumerate(order):
-        rank[v] = pos
-
-    forward: list[set[int]] = [set() for _ in range(n)]
-    triangles: list[tuple[int, int, int]] = []
-    for v in order:
-        for u in graph.adjacency[v]:
-            if rank[u] <= rank[v]:
-                continue
-            for w in forward[v] & forward[u]:
-                triangles.append(tuple(sorted((u, v, w))))
-            forward[u].add(v)
-    triangles.sort()
-    return TriangleSet(triangles=tuple(triangles), n=n)
+    by_rank = np.argsort(-np.bincount(graph.edge_array.ravel(), minlength=n), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    ends = rank[graph.edge_array]
+    # keys tail * n + head: sorted, the arcs group by tail, heads ascending
+    keys = np.sort(ends.max(axis=1) * n + ends.min(axis=1))
+    tail, head = np.divmod(keys, n)
+    m = len(keys)
+    # arc a pairs with each later arc of its tail, a + 1 .. last of the tail
+    pairs = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(1, m + 1)
+    wedge_end = np.cumsum(pairs)
+    wedge_start = wedge_end - pairs
+    # wedge w of arc a pairs it with arc w + shift[a]
+    shift = np.arange(1, m + 1) - wedge_start
+    keys = np.append(keys, n * n)  # a sentinel above every key keeps lookups in range
+    found = [np.empty((0, 3), dtype=np.int64)]
+    total = int(wedge_end[-1]) if m else 0
+    for w0 in range(0, total, _WEDGE_CHUNK):
+        w1 = min(w0 + _WEDGE_CHUNK, total)
+        a0, a1 = np.searchsorted(wedge_end, [w0, w1 - 1], side="right").tolist()
+        counts = pairs[a0 : a1 + 1].copy()
+        counts[-1] = w1 - wedge_start[a1]
+        counts[0] -= w0 - wedge_start[a0]
+        first = np.repeat(np.arange(a0, a1 + 1), counts)
+        second = np.arange(w0, w1) + shift[first]
+        closing = head[second] * n + head[first]
+        closed = keys[np.searchsorted(keys, closing)] == closing
+        corners = (tail[first[closed]], head[second[closed]], head[first[closed]])
+        found.append(by_rank[np.stack(corners, axis=1)])
+    return np.concatenate(found)
 
 
 def remove_vertices(graph: Graph, labels: Iterable[str]) -> Graph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -135,7 +136,8 @@ def rank_scores(
     order[tied] = [i for _, i in members]
     order = order.tolist()
     columns = ([labels[i] for i in order], scores[order].tolist(), rank.tolist(), group.tolist())
-    return tuple(map(RankedVertex._make, zip(*columns)))
+    # tuple.__new__ is what RankedVertex._make calls, minus a call and a length check
+    return tuple(map(tuple.__new__, repeat(RankedVertex), zip(*columns)))
 
 
 def make_report(

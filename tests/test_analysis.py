@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import tricent
 from tricent import (
     Graph,
     GraphValidationError,
@@ -12,6 +13,7 @@ from tricent import (
     cycle_index_fiedler,
     enumerate_triangles,
     fiedler_vector,
+    load_dataset,
     rank_correlation,
     removal_experiment,
     triangle_importance,
@@ -86,6 +88,43 @@ class TestTriangleImportance:
         ranking = triangle_importance(g14, tris, atec(g14, 0.6), tie_tol=1e-9)
         assert len(ranking) == 2
         assert [e.rank for e in ranking.entries] == [1, 1]
+
+    def test_rankings_survive_a_label_shuffle(self, monkeypatch):
+        """paper-g14 rebuilt with its edges shuffled, so its vertices get other
+        ids, ranks its triangles the same under both indices; each graph
+        sorts its labels once, however many rankings it makes."""
+        sorted_labels, sort = [], tricent.graph.label_positions
+
+        def counted(labels):
+            sorted_labels.append(labels)
+            return sort(labels)
+
+        monkeypatch.setattr(tricent.graph, "label_positions", counted)
+        base = load_dataset("paper-g14")  # a fresh Graph: nothing cached yet
+        pairs = [(base.labels[u], base.labels[v]) for u, v in base.edges]
+        random.Random(70001).shuffle(pairs)
+        shuffled = Graph.from_edge_labels(pairs)
+        assert shuffled.labels != base.labels and sorted(shuffled.labels) == sorted(base.labels)
+        rankings = {}
+        for graph in (base, shuffled):
+            tris = enumerate_triangles(graph)
+            report = atec(graph, 0.3)
+            rankings[graph] = [
+                ranking
+                for _ in range(2)
+                for ranking in (
+                    triangle_importance(graph, tris, report),
+                    cycle_index_fiedler(graph, tris),
+                )
+            ]
+        assert sorted_labels == [base.labels, shuffled.labels]
+        for got, want in zip(rankings[shuffled], rankings[base]):
+            assert [(e.vertices, e.rank) for e in got.entries] == [
+                (e.vertices, e.rank) for e in want.entries
+            ]
+            assert [e.score for e in got.entries] == pytest.approx(
+                [e.score for e in want.entries], rel=1e-12, abs=1e-15
+            )
 
     def test_permutation_equivariance(self, g14):
         rng = random.Random(60001)

@@ -62,6 +62,22 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="line 2"):
             load_edge_list(io.StringIO("a b\na b c\n"))
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# header\na b c\n", 2, "expected two labels, got 3: 'a b c'"),
+            ("a b\n  x y z  # note\n", 2, "expected two labels, got 3: 'x y z'"),
+            ("a b\nlonely # a comment\n", 2, "expected two labels, got 1: 'lonely'"),
+            ("a b\nc\td\te\n", 2, "expected two labels, got 3: 'c\\td\\te'"),
+            ("a b\n \t  \nc\n", 3, "expected two labels, got 1: 'c'"),
+        ],
+    )
+    def test_malformed_line_message_and_number(self, text, line, message):
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(io.StringIO(text))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
     def test_comments_and_blank_lines(self):
         text = "# header\n\n1 2  # trailing\n   \n2 3\n"
         g = load_edge_list(io.StringIO(text))

@@ -1,11 +1,11 @@
 """Library paths against the loop oracles they replaced.
 
 Each library path must reproduce its loop-based reference exactly: the same
-operator index arrays, bitwise-equal coefficients, equal ranking tuples,
-equal correlation floats, the same graphs from the one array builder (errors
-and warnings included), bitwise-equal results from the shared power kernel
-at Anderson depth 0, and bitwise-equal adjacency matrices, betweenness and
-triangle-centrality scores. The kernel's Anderson-mixed default is held to a
+triangle listings, the same operator index arrays, bitwise-equal
+coefficients, equal ranking tuples, equal correlation floats, the same graphs
+from the one array builder (errors and warnings included), bitwise-equal
+results from the shared power kernel at Anderson depth 0, and bitwise-equal
+adjacency matrices, betweenness and triangle-centrality scores. The kernel's Anderson-mixed default is held to a
 tighter power-loop reference within stated tolerances instead.
 Graphs are seeded random graphs (triangle-free and single-edge ones included)
 over labels chosen to trip numeric label ordering: "01", "1" and "+1" all
@@ -45,12 +45,13 @@ from tricent import (
     triangle_importance,
     verify_weak_irreducibility,
 )
-from tricent import analysis, centrality, tensor
+from tricent import analysis, centrality, graph as graph_module, tensor
 from tricent.analysis import RANK_TIE_TOL, TRIANGLE_TIE_TOL, _rank_triangles
 from tricent.graph import _induced, _list_triangles
 from tricent.report import VERTEX_TIE_TOL
 from tricent.tensor import MAX_VERTICES
 
+import cli_grid
 import oracles
 from oracles import (
     adjacency_of,
@@ -73,7 +74,9 @@ from oracles import (
     rank_scores,
     rank_triangles,
     solve_spectral_by_loop,
+    star_graph,
     triangle_centrality_by_loop,
+    triangles_by_forward_loop,
     weak_irreducibility_by_digraph,
 )
 
@@ -412,6 +415,64 @@ def test_cached_index_arrays_are_read_only(g14, g14_triangles):
         edges[0, 0] = 5
     with pytest.raises(ValueError, match="read-only"):
         tris[0, 0] = 5
+
+
+# --- triangle listing ---------------------------------------------------------
+
+
+def listing_graphs() -> list[Graph]:
+    rng = random.Random(41)
+    graphs = [load_dataset(name) for name in dataset_names()]
+    graphs += [
+        random_connected_graph(rng, n, p)
+        for n, p in ((2, 0.0), (6, 0.9), (15, 0.4), (30, 0.2), (60, 0.1), (90, 0.35))
+    ]
+    graphs += [star_graph(leaves) for leaves in (1, 2, 25)]
+    graphs += [oracles.complete_graph(k) for k in range(4, 9)]  # every degree ties
+    pendant = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")]
+    graphs.append(remove_vertices(Graph.from_edge_labels(pendant), ["d"]))  # e is isolated
+    graphs.append(remove_vertices(star_graph(4), ["c"]))  # four isolated vertices, m = 0
+    graphs.append(load_edge_list(io.StringIO(cli_grid.clustered_text(2000, 11))))
+    return graphs
+
+
+LISTING_GRAPHS = listing_graphs()
+
+
+def assert_listing_matches_forward_loop(graph: Graph):
+    """graph's listing equals the forward loop's: the same tuples of Python
+    ints, and a triangle_array with the same int64 bytes, also read-only."""
+    got, want = enumerate_triangles(graph), triangles_by_forward_loop(graph)
+    assert got.n == want.n == graph.n
+    assert got.triangles == want.triangles
+    assert all(type(v) is int for t in got.triangles for v in t)
+    arr, want_arr = got.triangle_array, want.triangle_array
+    assert arr.dtype == want_arr.dtype == np.int64 and arr.shape == want_arr.shape
+    assert arr.tobytes() == want_arr.tobytes()
+    assert not arr.flags.writeable and not want_arr.flags.writeable
+
+
+@pytest.mark.parametrize("graph", LISTING_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_listing_matches_forward_loop(graph):
+    assert_listing_matches_forward_loop(graph)
+
+
+def test_listing_cases_cover_isolated_vertices_and_no_edges():
+    assert any(g.m == 0 for g in LISTING_GRAPHS)
+    assert any(0 < g.m and 0 in g.degrees() for g in LISTING_GRAPHS)
+    assert len(enumerate_triangles(LISTING_GRAPHS[-1])) > 4000
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 7))
+def test_listing_chunks_split_wedges_anywhere(monkeypatch, chunk):
+    """Wedges checked a few at a time, so chunks start and end inside one
+    arc's wedges, give the listing the forward loop gives."""
+    monkeypatch.setattr(graph_module, "_WEDGE_CHUNK", chunk)
+    clique = [(f"k{i}", f"k{j}") for i in range(30) for j in range(i + 1, 30)]
+    path = [("k0", "p0")] + [(f"p{i}", f"p{i + 1}") for i in range(5)]
+    graph = Graph.from_edge_labels(clique + path)
+    assert_listing_matches_forward_loop(graph)
+    assert len(enumerate_triangles(graph)) == math.comb(30, 3)
 
 
 # --- rank correlations ------------------------------------------------------

@@ -102,3 +102,27 @@ def test_report_rows_are_built_as_named_tuples(karate):
     ranking = triangle_importance(karate, enumerate_triangles(karate), report)
     assert all(type(e) is RankedTriangle and type(e.vertices) is tuple for e in ranking.entries)
     assert all(type(e.score) is float and type(e.rank) is int for e in ranking.entries)
+
+
+@pytest.mark.parametrize("name", ["karate", "dolphins", "celegans-metabolic", "paper-g14"])
+def test_ranking_rows_equal_rows_built_by_make(name):
+    """rank_scores and _rank_triangles build their rows with tuple.__new__;
+    each is still an instance of its NamedTuple, equal to the _make row."""
+    from tricent import RankedTriangle, RankedVertex, enumerate_triangles, load_dataset
+    from tricent.analysis import TRIANGLE_TIE_TOL, _rank_triangles
+    from tricent.report import rank_scores
+
+    graph = load_dataset(name)
+    scores = atec(graph, 0.2).scores
+    triangles = enumerate_triangles(graph)
+    tri = triangles.triangle_array
+    sums = scores[tri[:, 0]] + scores[tri[:, 1]] + scores[tri[:, 2]]
+    vertex_rows = rank_scores(graph.labels, scores)
+    triangle_rows = _rank_triangles("i", {}, graph, triangles, sums, TRIANGLE_TIE_TOL).entries
+    assert len(vertex_rows) == graph.n and len(triangle_rows) == len(triangles)
+    for rows, cls in ((vertex_rows, RankedVertex), (triangle_rows, RankedTriangle)):
+        for row in rows:
+            made = cls._make(row)
+            assert type(row) is cls and row._fields == cls._fields
+            assert tuple(getattr(row, f) for f in cls._fields) == tuple(made)
+            assert row == made and repr(row) == repr(made)
