@@ -59,7 +59,9 @@ x = rep.scores
 rho = rep.meta["rho"]
 i = g.id_of("4")
 edge_part = sum(x[j] ** 2 for j in g.adjacency[i])
-tri_part = sum(x[j] * x[k] for j, k in tris.incidence[i])
+# the (j, k), j < k, of each triangle {i, j, k}
+pairs = sorted(tuple(v for v in tri if v != i) for tri in tris.triangles if i in tri)
+tri_part = sum(x[j] * x[k] for j, k in pairs)
 print("the eigenvalue equation at vertex 4 (alpha = 0.6):")
 print(f"  rho * x_4^2          = {rho * x[i] ** 2:.6f}")
 print(f"  0.6 * edge term      = {0.6 * edge_part:.6f}")

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .graph import Graph, TriangleSet, is_connected
+from .graph import Graph, GraphValidationError, TriangleSet, _triangle_neighbor_sums, is_connected
 from .report import CentralityReport, make_report
 from .tensor import (
     DEFAULT_MAX_ITER,
@@ -102,18 +102,12 @@ def triangle_centrality(graph: Graph, triangles: TriangleSet) -> CentralityRepor
     triangle anywhere in their closed neighborhood score 0. A triangle-free
     graph yields all zeros with a warning instead of dividing by T(G) = 0.
     """
-    n = graph.n
-    t = triangles.count_per_vertex()
     total = len(triangles)
     if total == 0:
         warnings.warn("graph has no triangles; triangle centrality is all-zero")
-        return make_report("tc", {}, graph.labels, np.zeros(n), "raw")
-    scores = np.zeros(n)
-    for v, pairs in enumerate(triangles.incidence):
-        tri_neighbors = set(chain.from_iterable(pairs))
-        core = t[v] + sum(t[u] for u in tri_neighbors)
-        outside = sum(t[w] for w in graph.adjacency[v] if w not in tri_neighbors)
-        scores[v] = (core / 3.0 + outside) / total
+        return make_report("tc", {}, graph.labels, np.zeros(graph.n), "raw")
+    t, nt, inner = _triangle_neighbor_sums(graph, triangles)
+    scores = ((t + inner) / 3.0 + (nt - inner)) / total
     return make_report("tc", {}, graph.labels, scores, "raw")
 
 
@@ -266,10 +260,13 @@ def fiedler_vector(graph: Graph, tol: float = 1e-8) -> np.ndarray:
     """Unit eigenvector of the second-smallest Laplacian eigenvalue.
 
     Requires a connected graph (otherwise lambda_2 = 0 is degenerate with the
-    constant vector). The sign is fixed so the first component larger than
-    tol in magnitude is positive. The residual ||L v - lambda_2 v||_inf is
-    checked against tol; lambda_2 is recoverable as v @ L @ v.
+    constant vector) of at least two vertices (one vertex has no lambda_2).
+    The sign is fixed so the first component larger than tol in magnitude is
+    positive. The residual ||L v - lambda_2 v||_inf is checked against tol;
+    lambda_2 is recoverable as v @ L @ v.
     """
+    if graph.n < 2:
+        raise GraphValidationError(f"Fiedler vector needs at least two vertices, got {graph.n}")
     if not is_connected(graph):
         raise NotConnectedError("Fiedler vector needs a connected graph")
     lap = laplacian_matrix(graph)

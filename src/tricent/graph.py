@@ -310,9 +310,7 @@ def is_connected(graph: Graph) -> bool:
 class TriangleSet:
     """All 3-cliques of a graph on n vertices, canonically ordered.
 
-    triangles holds each clique once as (p, q, r) with p < q < r, sorted;
-    incidence[i] lists the pairs (j, k), j < k, completing a triangle with i,
-    sorted, and is built on first read. Σ_i len(incidence[i]) == 3 * len(triangles).
+    triangles holds each clique once as (p, q, r) with p < q < r, sorted.
     """
 
     triangles: tuple[tuple[int, int, int], ...]
@@ -326,15 +324,6 @@ class TriangleSet:
         """triangles as a read-only (T, 3) int64 array; the lister stores it,
         and a TriangleSet made any other way builds it on first use."""
         return _readonly_index_array(self.triangles, 3)
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        incidence: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for p, q, r in self.triangles:
-            incidence[p].append((q, r))
-            incidence[q].append((p, r))
-            incidence[r].append((p, q))
-        return tuple(tuple(sorted(pairs)) for pairs in incidence)
 
     def count_per_vertex(self) -> list[int]:
         """T(i): number of triangles containing each vertex."""
@@ -451,11 +440,34 @@ class DegreeTriangleStats:
 
 def degree_and_triangle_stats(graph: Graph, triangles: TriangleSet) -> DegreeTriangleStats:
     """Compute D(i), T(i), NT(i) for every vertex of the graph."""
-    t = triangles.count_per_vertex()
-    nt = [sum(t[j] for j in graph.adjacency[i]) for i in range(graph.n)]
+    _, nt, _ = _triangle_neighbor_sums(graph, triangles)
     return DegreeTriangleStats(
         labels=graph.labels,
         degree=tuple(graph.degrees()),
-        triangle_count=tuple(t),
-        neighbor_triangles=tuple(nt),
+        triangle_count=tuple(triangles.count_per_vertex()),
+        neighbor_triangles=tuple(nt.astype(np.int64).tolist()),
     )
+
+
+def _triangle_neighbor_sums(
+    graph: Graph, triangles: TriangleSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, nt, inner) as float64 arrays: per vertex v, its triangle count
+    T(v), NT(v) and the part of NT(v) from the neighbours sharing a triangle
+    with v. An edge is in a triangle exactly when its key u * n + v, u < v,
+    is one of the triangles' (p, q), (p, r) or (q, r) keys; a binary search
+    of the (ascending) edge keys in those keys, sorted, finds them. Every sum
+    is an integer of at most 3T, so the float sums are exact.
+    """
+    n = graph.n
+    tri = triangles.triangle_array
+    t = np.bincount(tri.ravel(), minlength=n).astype(float)
+    edges = graph.edge_array
+    keys = edges[:, 0] * n + edges[:, 1]
+    # a sentinel above every key keeps lookups in range, with no triangle too
+    tri_keys = np.append(np.sort((tri[:, [0, 0, 1]] * n + tri[:, [1, 2, 2]]).ravel()), n * n)
+    shared = tri_keys[np.searchsorted(tri_keys, keys)] == keys
+    end, other = np.concatenate([edges, edges[:, ::-1]]).T  # each edge from both ends
+    nt = np.bincount(end, t[other], minlength=n)
+    inner = np.bincount(end, t[other] * np.tile(shared, 2), minlength=n)
+    return t, nt, inner

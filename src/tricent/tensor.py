@@ -260,8 +260,7 @@ class SpectralResult:
 
     bracket is the final (lambda_min, lambda_max) enclosure of rho for the
     unshifted operator; rho is its midpoint. residual is the max-norm of
-    A x^2 - rho * x^[2]. bracket_history, when recorded, holds the enclosure
-    after every iteration.
+    A x^2 - rho * x^[2].
     """
 
     rho: float
@@ -269,7 +268,6 @@ class SpectralResult:
     iterations: int
     residual: float
     bracket: tuple[float, float]
-    bracket_history: tuple[tuple[float, float], ...] | None = None
 
 
 def solve_spectral(
@@ -279,7 +277,6 @@ def solve_spectral(
     max_iter: int = DEFAULT_MAX_ITER,
     shift: float = DEFAULT_SHIFT,
     x0: np.ndarray | None = None,
-    record_history: bool = False,
 ) -> SpectralResult:
     """Shifted higher-order power iteration for rho(A) and its eigenvector.
 
@@ -287,11 +284,11 @@ def solve_spectral(
     and Anderson mixing over the last _ANDERSON_DEPTH steps extrapolates from
     it (see _shifted_power). The Collatz-Wielandt ratios y_i / x_i^2 of any
     positive x bracket rho + shift from both sides; iteration stops when the
-    current iterate's bracket is narrower than tol. The reported bracket and
-    bracket_history hold the running intersection of all iterates' brackets,
-    which narrows monotonically, and rho is its midpoint. Raises
-    ConvergenceError with that bracket if the budget runs out, and
-    NotConnectedError, before iterating, when op.graph is disconnected.
+    current iterate's bracket is narrower than tol. The reported bracket is
+    the running intersection of all iterates' brackets, which narrows
+    monotonically, and rho is its midpoint. Raises ConvergenceError with that
+    bracket if the budget runs out, and NotConnectedError, before iterating,
+    when op.graph is disconnected.
     """
     ncomp = len(op.graph._components)
     if ncomp != 1:
@@ -299,9 +296,7 @@ def solve_spectral(
             f"graph has {ncomp} components; the positive eigenvector is only "
             "unique on connected graphs (solve per component)"
         )
-    return _shifted_power(
-        op, 3, tol=tol, max_iter=max_iter, shift=shift, x0=x0, record_history=record_history
-    )
+    return _shifted_power(op, 3, tol=tol, max_iter=max_iter, shift=shift, x0=x0)
 
 
 def _shifted_power(
@@ -312,7 +307,6 @@ def _shifted_power(
     max_iter: int = DEFAULT_MAX_ITER,
     shift: float = DEFAULT_SHIFT,
     x0: np.ndarray | None = None,
-    record_history: bool = False,
 ) -> SpectralResult:
     """Perron pair of a nonnegative matrix (order 2) or order-3 tensor.
 
@@ -328,10 +322,9 @@ def _shifted_power(
     iterate with a nonpositive entry is replaced by g(x) and the history
     restarts; once the ratios agree to within rounding noise, plain steps
     follow. Every positive iterate's bracket encloses the radius, so the
-    reported bracket is the running intersection (max lo, min hi), in
-    bracket_history too, and rho is its midpoint. With depth 0 the iterate
-    is g(x) and the bracket the current one: the plain shifted power
-    iteration.
+    reported bracket is the running intersection (max lo, min hi), and rho
+    is its midpoint. With depth 0 the iterate is g(x) and the bracket the
+    current one: the plain shifted power iteration.
 
     Each iteration makes exactly one op.apply call, looked up on the
     instance, so a wrapper assigned to the instance sees every product; the
@@ -356,7 +349,6 @@ def _shifted_power(
 
     depth = _ANDERSON_DEPTH
     mixer = _AndersonMixer(n, depth) if depth else None
-    history: list[tuple[float, float]] = []
     bracket = (-np.inf, np.inf)
     for iteration in range(1, max_iter + 1):
         x_pow = x if order == 2 else x * x  # x^[order-1]
@@ -374,8 +366,6 @@ def _shifted_power(
             bracket = (lo, hi)
         else:  # every positive iterate encloses rho, so their intersection does
             bracket = (max(bracket[0], lo), min(bracket[1], hi))
-        if record_history:
-            history.append(bracket)
         if hi - lo < tol:
             rho = 0.5 * (bracket[0] + bracket[1])
             residual = float(np.max(np.abs(ax - rho * x_pow)))
@@ -385,7 +375,6 @@ def _shifted_power(
                 iterations=iteration,
                 residual=residual,
                 bracket=bracket,
-                bracket_history=tuple(history) if record_history else None,
             )
         gx = y if order == 2 else np.sqrt(y)
         gx /= np.linalg.norm(gx)

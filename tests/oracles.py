@@ -8,9 +8,10 @@ operator by a dense tensor and a triple-loop contraction. The forward-loop
 triangle listing, the loop-based operator build, the competition rankings,
 the rank correlations, the per-caller graph builders, the two power loops,
 the adjacency matrix, the per-source betweenness loop, the
-triangle-centrality loop, the eager triangle incidence build and the
-two-digraph weak-irreducibility check are the reference the library
-versions must match exactly.
+triangle-centrality and neighbour-triangle-sum loops, the eager triangle
+incidence build and the two-digraph weak-irreducibility check are the
+reference the library versions must match exactly. record_apply records the
+iterates a solver takes, so a test can rebuild each iterate's bracket.
 """
 
 from __future__ import annotations
@@ -363,7 +364,7 @@ def triangle_centrality_by_loop(graph: Graph, triangles: TriangleSet) -> np.ndar
     """Raw Burkhardt triangle centrality, triangle neighbours gathered by one
     walk over every triangle; all zeros on a triangle-free graph.
 
-    The library's loop as it was before it read TriangleSet.incidence.
+    The library's per-vertex loop, before these sums came from edge arrays.
     """
     n = graph.n
     t = triangles.count_per_vertex()
@@ -383,11 +384,16 @@ def triangle_centrality_by_loop(graph: Graph, triangles: TriangleSet) -> np.ndar
     return scores
 
 
+def neighbor_triangles_by_loop(graph: Graph, triangles: TriangleSet) -> list[int]:
+    """NT(i) = sum of T(j) over the neighbours j of i, one Python sum per vertex."""
+    t = triangles.count_per_vertex()
+    return [sum(t[j] for j in graph.adjacency[i]) for i in range(graph.n)]
+
+
 def incidence_by_loop(triangles: TriangleSet, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per vertex, the sorted (j, k) pairs completing a triangle with it.
 
-    The build the triangle lister ran eagerly before incidence was built on
-    first read.
+    The build the triangle lister once ran eagerly for every TriangleSet.
     """
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for p, q, r in triangles.triangles:
@@ -412,11 +418,12 @@ def operator_arrays_by_loops(
     cols_j: list[int] = []
     cols_k: list[int] = []
     coeffs: list[float] = []
+    incidence = incidence_by_loop(triangles, n)
     for i in range(n):
         entries: list[tuple[int, int, float]] = [
             (j, j, edge_coeff) for j in graph.adjacency[i]
         ]
-        for j, k in triangles.incidence[i]:
+        for j, k in incidence[i]:
             entries.append((j, k, tri_coeff))
             entries.append((k, j, tri_coeff))
         entries.sort(key=lambda e: (e[0], e[1]))
@@ -766,7 +773,6 @@ def solve_spectral_by_loop(
     max_iter: int = DEFAULT_MAX_ITER,
     shift: float = DEFAULT_SHIFT,
     x0: np.ndarray | None = None,
-    record_history: bool = False,
 ) -> SpectralResult:
     """Shifted higher-order power iteration for rho(A) and its eigenvector.
 
@@ -793,7 +799,6 @@ def solve_spectral_by_loop(
             raise ValueError("seed vector must be strictly positive")
         x = x / np.linalg.norm(x)
 
-    history: list[tuple[float, float]] = []
     lo = hi = np.nan
     for iteration in range(1, max_iter + 1):
         x_sq = x * x
@@ -806,8 +811,6 @@ def solve_spectral_by_loop(
         ratios = y / x_sq
         lo = float(ratios.min()) - shift
         hi = float(ratios.max()) - shift
-        if record_history:
-            history.append((lo, hi))
         if hi - lo < tol:
             rho = 0.5 * (lo + hi)
             residual = float(np.max(np.abs(op.apply(x) - rho * x_sq)))
@@ -817,7 +820,6 @@ def solve_spectral_by_loop(
                 iterations=iteration,
                 residual=residual,
                 bracket=(lo, hi),
-                bracket_history=tuple(history) if record_history else None,
             )
         x = np.sqrt(y)
         x /= np.linalg.norm(x)
@@ -828,6 +830,47 @@ def solve_spectral_by_loop(
         bracket=(lo, hi),
         iterations=max_iter,
     )
+
+
+def record_apply(op) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Wrap op.apply on the instance and return the list it records into.
+
+    The list gets a copy of every (x, op.apply(x)) pair, in call order. The
+    solvers look apply up on the instance, so this sees every iterate they
+    take, and collatz_wielandt_brackets rebuilds their brackets from it.
+    """
+    inner, calls = op.apply, []
+
+    def recorded(x):
+        ax = inner(x)
+        calls.append((x.copy(), ax.copy()))
+        return ax
+
+    op.apply = recorded
+    return calls
+
+
+def collatz_wielandt_brackets(
+    calls: Sequence[tuple[np.ndarray, np.ndarray]], order: int = 3, shift: float = DEFAULT_SHIFT
+) -> list[tuple[float, float]]:
+    """The (lo, hi) bracket of each recorded iterate, by the solvers' own
+    float expressions: y = op.apply(x) + shift * x^[order-1], and the min
+    and max of y / x^[order-1], less the shift."""
+    brackets = []
+    for x, ax in calls:
+        x_pow = x if order == 2 else x * x
+        ratios = (ax + shift * x_pow) / x_pow
+        brackets.append((float(ratios.min()) - shift, float(ratios.max()) - shift))
+    return brackets
+
+
+def running_intersection(brackets: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(max lo, min hi) over each prefix of brackets."""
+    out, lo, hi = [], -math.inf, math.inf
+    for lo_k, hi_k in brackets:
+        lo, hi = max(lo, lo_k), min(hi, hi_k)
+        out.append((lo, hi))
+    return out
 
 
 def eigenvector_centrality_by_loop(

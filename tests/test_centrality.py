@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -5,14 +6,18 @@ import numpy as np
 import pytest
 
 from tricent import (
+    DuplicateEdgeWarning,
     Graph,
+    GraphValidationError,
     NotConnectedError,
     betweenness_centrality,
     degree_centrality,
     eigenvector_centrality,
     enumerate_triangles,
     fiedler_vector,
+    is_connected,
     laplacian_matrix,
+    load_edge_list,
     subgraph_centrality,
     triangle_centrality,
 )
@@ -214,6 +219,14 @@ class TestFiedlerVector:
     def test_disconnected_rejected(self):
         g = Graph.from_edge_labels([("a", "b"), ("c", "d")])
         with pytest.raises(NotConnectedError):
+            fiedler_vector(g)
+
+    def test_single_vertex_rejected(self):
+        """One vertex is connected but has no second eigenvalue."""
+        with pytest.warns(DuplicateEdgeWarning):
+            g = load_edge_list(io.StringIO("a a\n"), dedupe=True)
+        assert g.n == 1 and is_connected(g)
+        with pytest.raises(GraphValidationError, match="at least two vertices, got 1"):
             fiedler_vector(g)
 
 

@@ -1,4 +1,5 @@
-"""No module-level private name in src/tricent is left without a user."""
+"""No module-level private name in src/tricent is left without a user, and
+no module imports a name it never reads."""
 
 import ast
 from collections import Counter
@@ -48,4 +49,35 @@ def test_every_private_module_name_is_used_in_the_package():
         # uses inside the definition itself, such as recursion, do not count
         if used[name] == references(node)[name]
     ]
+    assert unused == []
+
+
+def imported_names(tree: ast.Module):
+    """(bound name, line) for every import in tree, __future__ imports aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # import a.b binds a
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_read_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's public names
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        unused += [
+            f"{path.name}:{line}:{name}"
+            for name, line in imported_names(tree)
+            if name not in read
+        ]
     assert unused == []

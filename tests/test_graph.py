@@ -20,7 +20,6 @@ from tricent import (
     load_edge_list,
     remove_vertices,
     triangle_centrality,
-    triangle_importance,
 )
 
 from oracles import (
@@ -166,7 +165,7 @@ class TestEnumerateTriangles:
     def test_k3(self, k3):
         tris = enumerate_triangles(k3)
         assert tris.triangles == ((0, 1, 2),)
-        assert tris.incidence == (((1, 2),), ((0, 2),), ((0, 1),))
+        assert tris.count_per_vertex() == [1, 1, 1]
 
     def test_path_is_triangle_free(self, p3):
         assert len(enumerate_triangles(p3)) == 0
@@ -182,31 +181,16 @@ class TestEnumerateTriangles:
             assert len(tris) == triangle_count_by_trace(g)
             assert list(tris.triangles) == triangles_by_combinations(g)
 
-    def test_incidence_consistency(self, celegans_triangles, g14_triangles):
-        for tris in (celegans_triangles, g14_triangles):
-            assert sum(len(p) for p in tris.incidence) == 3 * len(tris)
-
-    def test_incidence_and_counts_match_the_eager_build(self, celegans):
+    def test_counts_match_the_eager_build(self, celegans, g14):
         rng = random.Random(778)
         graphs = [random_connected_graph(rng, rng.randint(3, 40), 0.4) for _ in range(10)]
-        graphs += [celegans, Graph.from_edge_labels([("1", "2"), ("3", "4")])]
+        graphs += [celegans, g14, Graph.from_edge_labels([("1", "2"), ("3", "4")])]
         for g in graphs:
             tris = enumerate_triangles(g)
             want = incidence_by_loop(tris, g.n)
             assert tris.count_per_vertex() == [len(pairs) for pairs in want]
             assert all(type(t) is int for t in tris.count_per_vertex())
-            assert tris.incidence == want
-            assert tris.incidence is tris.incidence
-
-    def test_incidence_is_built_only_when_read(self):
-        g = load_dataset("karate")  # a fresh Graph: nothing cached yet
-        tris = enumerate_triangles(g)
-        report = atec(g, 0.2, triangles=tris)
-        triangle_importance(g, tris, report)
-        degree_and_triangle_stats(g, tris)
-        assert "incidence" not in vars(tris)
-        triangle_centrality(g, tris)
-        assert "incidence" in vars(tris)
+            assert sum(tris.count_per_vertex()) == 3 * len(tris)
 
     def test_canonical_order(self, celegans_triangles):
         tris = celegans_triangles.triangles
@@ -277,6 +261,42 @@ class TestDegreeTriangleStats:
         t = tris.count_per_vertex()
         for i in range(g.n):
             assert stats.neighbor_triangles[i] == sum(t[j] for j in g.adjacency[i])
+
+
+def shuffled_and_relabelled(graph: Graph, rng: random.Random) -> tuple[Graph, dict[str, str]]:
+    """graph rebuilt from its edge lines in a seeded random order, each line's
+    ends in a random order, over a random relabelling of its vertices; the
+    rebuilt graph and the new label of every old one."""
+    new_labels = [f"v{i}" for i in range(graph.n)]
+    rng.shuffle(new_labels)
+    rename = dict(zip(graph.labels, new_labels))
+    lines = []
+    for u, v in graph.edges:
+        ends = [rename[graph.labels[u]], rename[graph.labels[v]]]
+        rng.shuffle(ends)
+        lines.append(" ".join(ends) + "\n")
+    rng.shuffle(lines)
+    return load_edge_list(io.StringIO("".join(lines))), rename
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_triangle_sums_survive_an_edge_shuffle_and_a_relabelling(seed):
+    """Triangle centrality and the D/T/NT rows of every vertex, found by
+    label, do not depend on vertex ids or on the order of the edge lines."""
+    rng = random.Random(seed)
+    if seed == 0:
+        g = load_dataset("karate")
+    else:
+        g = random_connected_graph(rng, rng.randint(5, 60), rng.choice((0.1, 0.3)))
+    h, rename = shuffled_and_relabelled(g, rng)
+    assert sorted(rename.values()) == sorted(h.labels) and h.m == g.m
+    tg, th = enumerate_triangles(g), enumerate_triangles(h)
+    assert len(tg) == len(th) > 0
+    tc_g, tc_h = triangle_centrality(g, tg), triangle_centrality(h, th)
+    stats_g, stats_h = degree_and_triangle_stats(g, tg), degree_and_triangle_stats(h, th)
+    for label in g.labels:
+        assert tc_h.score_of(rename[label]).hex() == tc_g.score_of(label).hex()
+        assert stats_h.row(rename[label]) == stats_g.row(label)
 
 
 def test_is_connected(k3):

@@ -4,9 +4,11 @@ Each library path must reproduce its loop-based reference exactly: the same
 triangle listings, the same operator index arrays, bitwise-equal
 coefficients, equal ranking tuples, equal correlation floats, the same graphs
 from the one array builder (errors and warnings included), bitwise-equal
-results from the shared power kernel at Anderson depth 0, and bitwise-equal
-adjacency matrices, betweenness and triangle-centrality scores. The kernel's Anderson-mixed default is held to a
-tighter power-loop reference within stated tolerances instead.
+results from the shared power kernel at Anderson depth 0 (iterate by
+iterate), bitwise-equal adjacency matrices, betweenness and
+triangle-centrality scores, and equal neighbour-triangle sums. The kernel's
+Anderson-mixed default is held to a tighter power-loop reference within
+stated tolerances instead.
 Graphs are seeded random graphs (triangle-free and single-edge ones included)
 over labels chosen to trip numeric label ordering: "01", "1" and "+1" all
 parse as the integer 1, "1_0" parses as 10.
@@ -31,6 +33,7 @@ from tricent import (
     betweenness_centrality,
     connected_components,
     dataset_names,
+    degree_and_triangle_stats,
     degree_centrality,
     eigenvector_centrality,
     enumerate_triangles,
@@ -58,6 +61,7 @@ from oracles import (
     apply_by_add_at,
     average_ranks,
     betweenness_by_loop,
+    collatz_wielandt_brackets,
     contract_tensor,
     diamond_chain,
     eigenvector_centrality_by_loop,
@@ -67,12 +71,15 @@ from oracles import (
     kendall_tau_b,
     layout_arrays,
     materialize_tensor,
+    neighbor_triangles_by_loop,
     operator_arrays_by_loops,
     operator_arrays_from_layout,
     pearson_of_ranks,
     random_connected_graph,
     rank_scores,
     rank_triangles,
+    record_apply,
+    running_intersection,
     solve_spectral_by_loop,
     star_graph,
     triangle_centrality_by_loop,
@@ -824,7 +831,15 @@ def assert_same_spectral(got, want):
     assert got.iterations == want.iterations
     assert got.residual.hex() == want.residual.hex()
     assert [v.hex() for v in got.bracket] == [v.hex() for v in want.bracket]
-    assert got.bracket_history == want.bracket_history
+
+
+def recorded_solve(solve, op, **kwargs):
+    """(result, or the ConvergenceError raised, and every (x, A x^2) the solve took)."""
+    calls = record_apply(op)
+    try:
+        return solve(op, **kwargs), calls
+    except ConvergenceError as exc:
+        return exc, calls
 
 
 @pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
@@ -853,19 +868,29 @@ def test_solve_spectral_matches_seed_loop(monkeypatch, graph):
     triangles = enumerate_triangles(graph)
     x0 = np.linspace(1.0, 2.0, graph.n)
     for alpha in (1.0, 0.5, 0.01):
-        op = AlphaTriangleOperator(graph, triangles, alpha)
-        want = solve_spectral_by_loop(op, record_history=True)
-        assert_same_spectral(solve_spectral(op, record_history=True), want)
-        for kwargs in ({"x0": x0, "shift": 2.0, "max_iter": 3000}, {"max_iter": 2}):
-            try:
-                want = solve_spectral_by_loop(op, **kwargs)
-            except ConvergenceError as exc:
-                with pytest.raises(ConvergenceError) as got_err:
-                    solve_spectral(op, **kwargs)
-                assert str(got_err.value) == str(exc)
-                assert got_err.value.bracket == exc.bracket
+        for kwargs in ({}, {"x0": x0, "shift": 2.0, "max_iter": 3000}, {"max_iter": 2}):
+            got, got_calls = recorded_solve(
+                solve_spectral, AlphaTriangleOperator(graph, triangles, alpha), **kwargs
+            )
+            want, want_calls = recorded_solve(
+                solve_spectral_by_loop, AlphaTriangleOperator(graph, triangles, alpha), **kwargs
+            )
+            steps = want.iterations
+            if isinstance(want, ConvergenceError):
+                assert isinstance(got, ConvergenceError)
+                assert str(got) == str(want) and got.bracket == want.bracket
+                assert len(want_calls) == steps
             else:
-                assert_same_spectral(solve_spectral(op, **kwargs), want)
+                assert_same_spectral(got, want)
+                assert len(want_calls) == steps + 1  # the loop applies again for the residual
+            # the same iterates, products and brackets, bit for bit, step by step
+            assert len(got_calls) == steps
+            for (gx, gax), (wx, wax) in zip(got_calls, want_calls[:steps]):
+                assert gx.tobytes() == wx.tobytes() and gax.tobytes() == wax.tobytes()
+            shift = kwargs.get("shift", tensor.DEFAULT_SHIFT)
+            brackets = collatz_wielandt_brackets(got_calls, shift=shift)
+            assert [v.hex() for v in brackets[-1]] == [v.hex() for v in got.bracket]
+            assert all(hi - lo >= tensor.DEFAULT_TOL for lo, hi in brackets[:-1])
 
 
 def test_solver_calls_apply_through_the_instance(karate):
@@ -891,19 +916,25 @@ def test_solver_calls_apply_through_the_instance(karate):
 REFERENCE_TOL = tensor.DEFAULT_TOL / 100
 
 
-def assert_anderson_result(got):
-    """Positive unit vector; a bracket narrower than tol around rho whose
-    recorded history narrows monotonically and ends at the bracket."""
+def assert_anderson_result(got, calls, order=3):
+    """Positive unit vector; a bracket narrower than tol around rho that is
+    the running intersection of the brackets of the recorded iterates, one
+    per iteration, each of which encloses rho; only the last is narrower
+    than tol."""
     tol = tensor.DEFAULT_TOL
     assert np.all(got.x > 0)
     assert abs(float(np.linalg.norm(got.x)) - 1.0) < 1e-12
     lo, hi = got.bracket
     assert lo <= got.rho <= hi and hi - lo < tol
     assert got.residual <= 10 * tol
-    history = got.bracket_history
-    assert len(history) == got.iterations and history[-1] == got.bracket
-    for (lo0, hi0), (lo1, hi1) in zip(history, history[1:]):
-        assert lo0 <= lo1 and hi1 <= hi0
+    assert len(calls) == got.iterations and calls[-1][0].tobytes() == got.x.tobytes()
+    brackets = collatz_wielandt_brackets(calls, order)
+    slack = rounding_slack(got.rho)
+    for lo_k, hi_k in brackets:
+        assert lo_k - slack <= got.rho <= hi_k + slack
+    assert all(hi_k - lo_k >= tol for lo_k, hi_k in brackets[:-1])
+    assert brackets[-1][1] - brackets[-1][0] < tol
+    assert running_intersection(brackets)[-1] == got.bracket
 
 
 def rounding_slack(value: float) -> float:
@@ -916,9 +947,10 @@ def test_anderson_solve_matches_power_loop(graph):
     triangles = enumerate_triangles(graph)
     for alpha in (1.0, 0.5, 0.01):
         op = AlphaTriangleOperator(graph, triangles, alpha)
-        got = solve_spectral(op, record_history=True)
+        calls = record_apply(op)
+        got = solve_spectral(op)
+        assert_anderson_result(got, calls)
         want = solve_spectral_by_loop(op, tol=REFERENCE_TOL)
-        assert_anderson_result(got)
         # both brackets enclose rho, so they overlap; the midpoints differ by < tol
         assert max(got.bracket[0], want.bracket[0]) <= (
             min(got.bracket[1], want.bracket[1]) + rounding_slack(want.rho)
@@ -931,8 +963,9 @@ def test_anderson_solve_matches_power_loop(graph):
 def test_anderson_eigenvector_centrality_matches_power_loop(graph):
     a = adjacency_matrix(graph)
     matrix = types.SimpleNamespace(n=graph.n, apply=lambda x: a @ x)
-    got = tensor._shifted_power(matrix, 2, record_history=True)
-    assert_anderson_result(got)
+    calls = record_apply(matrix)
+    got = tensor._shifted_power(matrix, 2)
+    assert_anderson_result(got, calls, order=2)
     lam = float(np.linalg.eigvalsh(a)[-1])
     lo, hi = got.bracket
     assert lo - rounding_slack(lam) <= lam <= hi + rounding_slack(lam)
@@ -958,9 +991,10 @@ def test_anderson_restarts_after_a_nonpositive_mixed_iterate(monkeypatch, g14, g
 
     monkeypatch.setattr(tensor._AndersonMixer, "mix", spied)
     op = AlphaTriangleOperator(g14, g14_triangles, 0.01)
-    got = solve_spectral(op, record_history=True)
+    calls = record_apply(op)
+    got = solve_spectral(op)
     assert restarts and set(restarts) == {0}
-    assert_anderson_result(got)
+    assert_anderson_result(got, calls)
     want = solve_spectral_by_loop(op, tol=REFERENCE_TOL)
     assert np.max(np.abs(got.x - want.x)) < 1e-9
 
@@ -970,9 +1004,10 @@ def test_anderson_converges_from_an_off_orbit_seed(g14, g14_triangles):
     bracket is still about 2e-5 wide after 20 000 iterations; the mixed
     solve converges."""
     op = AlphaTriangleOperator(g14, g14_triangles, 0.01)
-    got = solve_spectral(op, x0=np.linspace(1.0, 2.0, 14), record_history=True)
+    calls = record_apply(op)
+    got = solve_spectral(op, x0=np.linspace(1.0, 2.0, 14))
     assert got.iterations < 200
-    assert_anderson_result(got)
+    assert_anderson_result(got, calls)
     uniform_start = solve_spectral_by_loop(op)
     assert np.max(np.abs(got.x - uniform_start.x)) < 1e-9
 
@@ -1029,16 +1064,63 @@ def test_betweenness_matches_seed_loop(monkeypatch, name, block):
     assert betweenness_centrality(graph).scores.tobytes() == BC_WANT[name]
 
 
-@pytest.mark.parametrize("name", BC_GRAPHS)
+def triangle_sum_graphs() -> dict[str, Graph]:
+    """The betweenness sample (the four datasets among it; its trees are
+    triangle-free), a clustered graph on 2000 vertices, a vertex with both
+    triangle and non-triangle edges, and a disconnected graph with an
+    isolated vertex."""
+    graphs = dict(BC_GRAPHS)
+    graphs["clustered2000"] = load_edge_list(io.StringIO(cli_grid.clustered_text(2000, 11)))
+    # a is in triangle abc and d in triangle def; the edge a-d is in none
+    graphs["mixed-edges"] = Graph.from_edge_labels(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d"), ("d", "e"), ("e", "f"), ("d", "f")]
+    )
+    # removing y leaves x isolated beside the triangle pqr and the path uvw
+    graphs["isolated"] = remove_vertices(
+        Graph.from_edge_labels(
+            [("p", "q"), ("q", "r"), ("p", "r"), ("r", "s"), ("x", "y"), ("u", "v"), ("v", "w")]
+        ),
+        ["y"],
+    )
+    return graphs
+
+
+TC_GRAPHS = triangle_sum_graphs()
+
+
+def test_triangle_sum_sample_covers_every_case():
+    mixed = TC_GRAPHS["mixed-edges"]
+    a = mixed.id_of("a")
+    tri_neighbors = {v for tri in enumerate_triangles(mixed).triangles if a in tri for v in tri}
+    assert tri_neighbors - {a} and set(mixed.adjacency[a]) - tri_neighbors
+    isolated = TC_GRAPHS["isolated"]
+    assert not is_connected(isolated) and isolated.degree(isolated.id_of("x")) == 0
+    assert len(enumerate_triangles(isolated)) > 0
+    assert all(name in TC_GRAPHS for name in dataset_names())
+
+
+@pytest.mark.parametrize("name", TC_GRAPHS)
 def test_triangle_centrality_matches_seed_loop(name):
-    """Triangle neighbours read from the incidence lists give the loop's bytes,
-    on the betweenness sample: its trees are triangle-free."""
-    graph = BC_GRAPHS[name]
+    """Triangle-neighbourhood sums from edge arrays give the loop's bytes."""
+    graph = TC_GRAPHS[name]
     triangles = enumerate_triangles(graph)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # triangle-free graphs warn
         got = triangle_centrality(graph, triangles).scores
     assert got.tobytes() == triangle_centrality_by_loop(graph, triangles).tobytes()
+
+
+@pytest.mark.parametrize("name", TC_GRAPHS)
+def test_neighbor_triangles_match_seed_loop(name):
+    """NT equals the per-vertex Python sum, as Python ints, with D and T."""
+    graph = TC_GRAPHS[name]
+    triangles = enumerate_triangles(graph)
+    stats = degree_and_triangle_stats(graph, triangles)
+    assert stats.neighbor_triangles == tuple(neighbor_triangles_by_loop(graph, triangles))
+    assert stats.triangle_count == tuple(triangles.count_per_vertex())
+    assert stats.degree == tuple(graph.degrees())
+    for column in (stats.degree, stats.triangle_count, stats.neighbor_triangles):
+        assert all(type(v) is int for v in column)
 
 
 @pytest.mark.parametrize("k, fast", ((52, True), (53, False)))

@@ -19,11 +19,14 @@ from tricent import (
 
 from oracles import (
     adjacency_of,
+    collatz_wielandt_brackets,
     complete_graph,
     contract_tensor,
     materialize_tensor,
     path_graph,
     random_connected_graph,
+    record_apply,
+    running_intersection,
 )
 
 
@@ -152,12 +155,19 @@ class TestSolveSpectral:
         assert np.all(res.x > 0)
 
     def test_bracket_monotone(self, g14):
-        res = solve_spectral(operator_for(g14, 0.6), record_history=True)
-        history = res.bracket_history
-        assert history is not None and len(history) > 2
+        """Every iterate's bracket encloses rho, and the reported bracket is
+        their running intersection, which narrows monotonically."""
+        op = operator_for(g14, 0.6)
+        calls = record_apply(op)
+        res = solve_spectral(op)
+        brackets = collatz_wielandt_brackets(calls)
+        assert len(brackets) == res.iterations > 2
+        for lo, hi in brackets:
+            assert lo - 1e-13 <= res.rho <= hi + 1e-13
+        history = running_intersection(brackets)
+        assert history[-1] == res.bracket
         for (lo0, hi0), (lo1, hi1) in zip(history, history[1:]):
-            assert lo1 >= lo0 - 1e-13
-            assert hi1 <= hi0 + 1e-13
+            assert lo0 <= lo1 and hi1 <= hi0
 
     def test_nonconvergence_raises_with_bracket(self, g14):
         with pytest.raises(ConvergenceError) as err:
