@@ -181,7 +181,13 @@ class TestEnumerateTriangles:
             assert len(tris) == triangle_count_by_trace(g)
             assert list(tris.triangles) == triangles_by_combinations(g)
 
-    def test_counts_match_the_eager_build(self, celegans, g14):
+    def test_incidence_consistency(self, celegans, celegans_triangles, g14, g14_triangles):
+        for g, tris in ((celegans, celegans_triangles), (g14, g14_triangles)):
+            incidence = incidence_by_loop(tris, g.n)
+            assert sum(len(p) for p in incidence) == 3 * len(tris)
+            assert sum(tris.count_per_vertex()) == 3 * len(tris)
+
+    def test_incidence_and_counts_match_the_eager_build(self, celegans, g14):
         rng = random.Random(778)
         graphs = [random_connected_graph(rng, rng.randint(3, 40), 0.4) for _ in range(10)]
         graphs += [celegans, g14, Graph.from_edge_labels([("1", "2"), ("3", "4")])]
@@ -190,7 +196,6 @@ class TestEnumerateTriangles:
             want = incidence_by_loop(tris, g.n)
             assert tris.count_per_vertex() == [len(pairs) for pairs in want]
             assert all(type(t) is int for t in tris.count_per_vertex())
-            assert sum(tris.count_per_vertex()) == 3 * len(tris)
 
     def test_canonical_order(self, celegans_triangles):
         tris = celegans_triangles.triangles
