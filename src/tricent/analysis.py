@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .centrality import fiedler_vector
-from .graph import Graph, TriangleSet, connected_components, remove_vertices
+from .graph import Graph, TriangleSet, remove_vertices
 from .report import CentralityReport, competition_rank, label_sort_key
 
 TRIANGLE_TIE_TOL = 1e-12
@@ -165,9 +165,8 @@ def removal_experiment(graph: Graph, remove: Sequence[str]) -> RemovalResult:
 
     Component size lists are sorted descending. Unknown labels raise.
     """
-    before = connected_components(graph)
-    reduced = remove_vertices(graph, remove)
-    after = connected_components(reduced)
+    before = graph._components
+    after = remove_vertices(graph, remove)._components
     return RemovalResult(
         removed=tuple(remove),
         components_before=len(before),

@@ -17,7 +17,6 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from fractions import Fraction
-from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,12 +144,8 @@ def _brandes_by_levels(graph: Graph) -> np.ndarray | None:
     order every dependency sum is accumulated in.
     """
     n = graph.n
-    degree = np.fromiter(map(len, graph.adjacency), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    neighbors = np.fromiter(
-        chain.from_iterable(graph.adjacency), dtype=np.int64, count=int(indptr[-1])
-    )
+    indptr, neighbors = graph._csr
+    degree = np.diff(indptr)
     block = max(1, min(n, _BLOCK_SLOTS // (n + int(indptr[-1]))))
     rank = np.empty(block * n, dtype=np.int64)  # queue position; -1 = not reached
     first = np.empty(block * n, dtype=np.int64)  # per level: the first arc into each vertex

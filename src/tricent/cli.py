@@ -37,7 +37,6 @@ from .centrality import (
 )
 from .graph import (
     Graph,
-    connected_components,
     degree_and_triangle_stats,
     enumerate_triangles,
     load_edge_list,
@@ -154,7 +153,7 @@ def _load(args) -> tuple[Graph, str]:
 
 
 def _require_connected(graph: Graph, flag_helps: bool = False):
-    ncomp = len(connected_components(graph))
+    ncomp = len(graph._components)
     if ncomp != 1:
         hint = " (use --per-component)" if flag_helps else ""
         raise ValueError(f"graph has {ncomp} components{hint}")

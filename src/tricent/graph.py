@@ -2,20 +2,22 @@
 
 Vertices carry arbitrary string labels externally and contiguous 0-based ids
 internally. Graph and TriangleSet instances are immutable once built, so they
-are safe to share across threads; their int64 index arrays (Graph.edge_array,
-TriangleSet.triangle_array) are read-only. A Graph finds its connected
-components and lists its triangles on first use and keeps both: every
-connectivity check reads that one partition, and every enumerate_triangles
-call on it returns that one TriangleSet. It keeps, on first use too, the
-alpha-free entry layout of its alpha-triangle operator (tensor), the place
-of each label in label order (for triangle rankings) and, when disconnected,
-the subgraph of each component, so an alpha sweep does the per-graph work
-once.
+are safe to share across threads. Each stores one read-only int64 index
+array (Graph.edge_array, TriangleSet.triangle_array), and every library path
+reads those arrays; the tuple forms (Graph.adjacency, Graph.edges,
+TriangleSet.triangles) are built only when a caller reads them. A Graph
+finds its connected components and lists its triangles on first use and
+keeps both: every connectivity check reads that one partition, and every
+enumerate_triangles call on it returns that one TriangleSet. It keeps, on
+first use too, its neighbours in CSR form (for betweenness), the alpha-free
+entry layout of its alpha-triangle operator (tensor), the place of each label
+in label order (for triangle rankings) and, when disconnected, the subgraph
+of each component, so an alpha sweep does the per-graph work once.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:
 the callers intern labels and validate their input, and the builder sorts
-the int64 arc keys once to produce edges, adjacency and edge_array.
+the int64 edge keys once to produce edge_array.
 
 Triangles are listed in numpy, without a Python loop per vertex: each edge
 is oriented from its lower-degree end to its higher-degree end, which leaves
@@ -30,10 +32,8 @@ from __future__ import annotations
 import io
 import warnings
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -58,26 +58,18 @@ class DuplicateEdgeWarning(UserWarning):
     """Raised (as a warning) when dedupe drops repeated or self-loop lines."""
 
 
-def _readonly_index_array(rows: tuple[tuple[int, ...], ...], width: int) -> np.ndarray:
-    """rows as a read-only (len(rows), width) int64 array."""
-    arr = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(rows) * width)
-    arr = arr.reshape(len(rows), width)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph.
 
-    labels[i] is the external label of internal vertex i; adjacency[i] is the
-    sorted tuple of neighbors of i; edges holds every edge once as (i, j) with
-    i < j, sorted.
+    labels[i] is the external label of internal vertex i; edge_array holds
+    every edge once as a row (i, j), i < j, rows sorted, in a read-only int64
+    array. adjacency (each vertex's neighbours, ascending) and edges (the
+    rows) are the same data as tuples of Python ints, built when first read.
     """
 
     labels: tuple[str, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
     _label_to_id: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,6 +77,7 @@ class Graph:
         if len(index) != len(self.labels):
             raise GraphValidationError("labels are not unique")
         object.__setattr__(self, "_label_to_id", index)
+        self.edge_array.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -92,23 +85,32 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """edges as a read-only (m, 2) int64 array; the builder stores it."""
-        return _readonly_index_array(self.edges, 2)
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): v's neighbours, ascending, are indices[indptr[v]:indptr[v + 1]]."""
+        n = self.n
+        u, v = self.edge_array.T
+        arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
+        indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
+        return indptr, arcs % n
 
     @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
-        """The connected components as ascending vertex ids, ordered by
-        smallest member; one BFS per component, run on first use."""
-        parent = [-2] * self.n
-        return tuple(
-            tuple(sorted(_bfs(self.adjacency, root, parent)))
-            for root in range(self.n)
-            if parent[root] == -2
-        )
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        indptr, indices = self._csr
+        starts, neighbors = indptr.tolist(), indices.tolist()
+        return tuple(tuple(neighbors[s:e]) for s, e in zip(starts, starts[1:]))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def _components(self) -> tuple[np.ndarray, ...]:
+        """The connected components as read-only ascending id arrays,
+        ordered by smallest member; found on first use (_partition)."""
+        return _partition(self)
 
     @cached_property
     def _triangles(self) -> "TriangleSet":
@@ -129,13 +131,14 @@ class Graph:
         built on first use, so each keeps its own triangles and operator
         layout. Read only on a disconnected graph: a connected one is its
         own component, and keeping itself here would make a reference cycle."""
-        return tuple(_induced(self, np.array(comp, dtype=np.int64)) for comp in self._components)
+        return tuple(_induced(self, comp) for comp in self._components)
 
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        indptr = self._csr[0]
+        return int(indptr[i + 1] - indptr[i])
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
+        return np.diff(self._csr[0]).tolist()
 
     def id_of(self, label: str) -> int:
         try:
@@ -144,9 +147,8 @@ class Graph:
             raise GraphValidationError(f"unknown vertex label {label!r}") from None
 
     def has_edge(self, i: int, j: int) -> bool:
-        a = self.adjacency[i]
-        pos = bisect_left(a, j)
-        return pos < len(a) and a[pos] == j
+        indptr, indices = self._csr
+        return bool((indices[indptr[i] : indptr[i + 1]] == j).any())
 
     @staticmethod
     def from_edge_labels(pairs: Iterable[tuple[str, str]]) -> "Graph":
@@ -167,28 +169,15 @@ class Graph:
 def _build_graph(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray) -> Graph:
     """The graph on labels with an edge {u[e], v[e]} per e; repeats merge.
 
-    u and v are int64 id arrays with u[e] != v[e]. One sort of the int64 arc
-    keys a*n + b, both orientations of every edge, gives the adjacency (arcs
-    grouped by a, neighbors b ascending) and the sorted edge list (the arcs
-    with a < b). Every Graph in the library is made here.
+    u and v are int64 id arrays with u[e] != v[e]. One sort of the int64
+    edge keys min * n + max gives the edge rows in order, repeats adjacent.
+    Every Graph in the library is made here.
     """
     n = len(labels)
-    arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     # drop repeats by hand: np.unique would import numpy.ma into every CLI run
-    a, b = np.divmod(arcs[np.diff(arcs, prepend=-1) != 0], n)
-    starts = np.searchsorted(a, np.arange(n + 1)).tolist()
-    ids = np.arange(n).astype(object)  # one int object per vertex, shared by all tuples
-    neighbors = ids[b].tolist()
-    forward = a < b
-    edge_array = np.stack([a[forward], b[forward]], axis=1)
-    edge_array.setflags(write=False)
-    graph = Graph(
-        labels=labels,
-        adjacency=tuple(tuple(neighbors[s:e]) for s, e in zip(starts, starts[1:])),
-        edges=tuple(zip(ids[edge_array[:, 0]].tolist(), ids[edge_array[:, 1]].tolist())),
-    )
-    vars(graph)["edge_array"] = edge_array  # fill the cached property
-    return graph
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return Graph(labels=labels, edge_array=np.stack(np.divmod(keys, n), axis=1))
 
 
 def _induced(graph: Graph, keep: np.ndarray) -> Graph:
@@ -269,37 +258,51 @@ def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Grap
 
 
 def dump_edge_list(graph: Graph) -> str:
-    """Serialize back to edge-list text; re-loading yields the same graph."""
-    return "".join(
-        f"{graph.labels[u]} {graph.labels[v]}\n" for u, v in graph.edges
-    )
+    """Serialize to edge-list text, one "label label" line per edge row.
 
-
-def _bfs(adjacency: tuple[tuple[int, ...], ...], root: int, parent: list[int]) -> list[int]:
-    """Breadth-first search from root over the vertices with parent -2.
-
-    Sets parent[root] = -1 and, for every vertex it reaches, parent[w] to the
-    vertex it was reached from; frontiers are scanned in order, neighbours
-    ascending. Returns the reached vertices in visit order, root first.
+    load_edge_list reads the text back to a graph with the same labels and
+    the same labelled edges; its ids follow the labels' first appearance in
+    the text, so they can differ from graph's. Raises GraphValidationError
+    naming the first vertex (by id) the format cannot hold: one with no
+    edge, or a label that the parser would not read back as one token.
     """
-    parent[root] = -1
-    reached = [root]
-    frontier = [root]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if parent[w] == -2:
-                    parent[w] = u
-                    nxt.append(w)
-        reached += nxt
-        frontier = nxt
-    return reached
+    isolated = np.bincount(graph.edge_array.ravel(), minlength=graph.n) == 0
+    for label, alone in zip(graph.labels, isolated.tolist()):
+        if alone or "#" in label or label.split() != [label]:
+            why = "has no edge" if alone else "is not one token without '#'"
+            raise GraphValidationError(f"vertex {label!r} {why}; edge-list text cannot hold it")
+    return "".join(f"{graph.labels[u]} {graph.labels[v]}\n" for u, v in graph.edge_array.tolist())
+
+
+def _partition(graph: Graph) -> tuple[np.ndarray, ...]:
+    """The connected components as read-only ascending id arrays, ordered by
+    smallest member.
+
+    Every vertex points at a smaller or equal id in its component, at first
+    itself. Each round hooks the root of every edge's higher end to the
+    smaller root across it, then follows the pointers to their roots
+    (pointer jumping), until every edge's two ends share a root: that root
+    is the component's smallest member.
+    """
+    root = np.arange(graph.n)
+    u, v = graph.edge_array.T
+    while len(u):
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        u, v = u[split], v[split]  # ends that share a root keep sharing one
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    order = np.argsort(root, kind="stable")
+    order.setflags(write=False)
+    cuts = [0, *(np.flatnonzero(np.diff(root[order])) + 1).tolist(), graph.n]
+    return tuple(order[s:e] for s, e in zip(cuts, cuts[1:]) if s < e)  # np.split is 4x slower
 
 
 def connected_components(graph: Graph) -> list[set[int]]:
     """Partition vertex ids by reachability, ordered by smallest member id."""
-    return [set(comp) for comp in graph._components]
+    return [set(comp.tolist()) for comp in graph._components]
 
 
 def is_connected(graph: Graph) -> bool:
@@ -310,20 +313,23 @@ def is_connected(graph: Graph) -> bool:
 class TriangleSet:
     """All 3-cliques of a graph on n vertices, canonically ordered.
 
-    triangles holds each clique once as (p, q, r) with p < q < r, sorted.
+    triangle_array holds each clique once as a row (p, q, r) with p < q < r,
+    rows sorted, in a read-only (T, 3) int64 array; triangles is the same
+    rows as tuples of Python ints, built when first read.
     """
 
-    triangles: tuple[tuple[int, int, int], ...]
+    triangle_array: np.ndarray
     n: int
 
+    def __post_init__(self):
+        self.triangle_array.setflags(write=False)
+
     def __len__(self) -> int:
-        return len(self.triangles)
+        return len(self.triangle_array)
 
     @cached_property
-    def triangle_array(self) -> np.ndarray:
-        """triangles as a read-only (T, 3) int64 array; the lister stores it,
-        and a TriangleSet made any other way builds it on first use."""
-        return _readonly_index_array(self.triangles, 3)
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.triangle_array.tolist()))
 
     def count_per_vertex(self) -> list[int]:
         """T(i): number of triangles containing each vertex."""
@@ -343,21 +349,14 @@ _WEDGE_CHUNK = 1 << 15
 
 def _list_triangles(graph: Graph) -> TriangleSet:
     """The graph's triangles, canonically sorted, so the result does not
-    depend on the order _triangle_rows finds them in; the sorted (T, 3)
-    array fills triangle_array. The wedge arrays are freed by then, so they
-    add nothing to the memory the sort and the tuples take."""
+    depend on the order _triangle_rows finds them in."""
     n = graph.n
     tri = _triangle_rows(graph)
     tri.sort(axis=1)
     # rows by (p, q, r): by r, then stably by p * n + q; the one key
     # (p * n + q) * n + r would overflow int64 past 2**21 vertices
     tri = tri[np.argsort(tri[:, 2])]
-    tri = tri[np.argsort(tri[:, 0] * n + tri[:, 1], kind="stable")]
-    tri.setflags(write=False)
-    ids = np.arange(n).astype(object)  # one int object per vertex, shared by all tuples
-    triangles = TriangleSet(triangles=tuple(zip(*ids[tri.T].tolist())), n=n)
-    vars(triangles)["triangle_array"] = tri  # fill the cached property
-    return triangles
+    return TriangleSet(triangle_array=tri[np.argsort(tri[:, 0] * n + tri[:, 1], kind="stable")], n=n)
 
 
 def _triangle_rows(graph: Graph) -> np.ndarray:

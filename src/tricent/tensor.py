@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, TriangleSet, _bfs, enumerate_triangles
+from .graph import Graph, TriangleSet, enumerate_triangles
 from .report import CentralityReport, make_report
 
 DEFAULT_TOL = 1e-10
@@ -500,7 +500,7 @@ def atec_per_component(
     for comp, sub in zip(components, subgraphs):
         op = build_operator(sub, enumerate_triangles(sub), alpha)
         res = solve_spectral(op, tol=tol)
-        scores[list(comp)] = res.x
+        scores[comp] = res.x
         total_iters += res.iterations
         worst_residual = max(worst_residual, res.residual)
     return make_report(
@@ -543,11 +543,18 @@ def verify_weak_irreducibility(op: AlphaTriangleOperator) -> IrreducibilityCheck
 
     For alpha in (0, 1] that digraph is the graph's symmetric adjacency: each
     edge gives arcs both ways, and each triangle arc joins two vertices that
-    share an edge. So one BFS from vertex 0 (parent -1; -2 marks unreached)
-    certifies both directions, and the two parent arrays are the same.
+    share an edge. So one BFS from vertex 0 (parent -1; -2 marks unreached;
+    neighbours scanned ascending) certifies both directions, and the two
+    parent arrays are the same.
     """
-    parent = [-2] * op.n
-    _bfs(op.graph.adjacency, 0, parent)
+    adjacency = op.graph.adjacency
+    parent = [-1] + [-2] * (op.n - 1)
+    queue = [0]
+    for u in queue:  # the loop reaches what it appends
+        for w in adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                queue.append(w)
     unreached = next((v for v, p in enumerate(parent) if p == -2), None)
     witness = None if unreached is None else (op.graph.labels[0], op.graph.labels[unreached])
     return IrreducibilityCheck(

@@ -7,27 +7,42 @@ Run the grid on two source trees, such as a parent commit's src/ and a
 change's, then diff the two records to check that the CLI's output stayed
 byte-identical. Each run starts `python -m tricent.cli` in a fresh temporary
 directory that holds only its input, copied in as input.edges, with
-PYTHONPATH=SRC, COLUMNS=80 and no inherited TRICENT_TOL. A run's record holds
+PYTHONPATH=SRC, COLUMNS=80 and no inherited TRICENT_TOL; the four demos run
+as `python demos/NAME.py` with the same environment. A run's record holds
 its exit code, the SHA-256 of its stdout, its stderr text and the SHA-256 of
-every file it wrote. The runs go one at a time; a grid takes a few minutes.
+every file it wrote; a record also names the Python and numpy versions it
+was made under. The runs go one at a time; a grid takes about a minute.
 
-This is a script, not a test module; tests/test_cli.py checks that the grid
-uses every option string the parser defines.
+tests/cli_record.json is the grid's record; tests/test_cli.py runs the grid
+in process (run_in_process, a few seconds) and diffs it against that record.
+After a change that alters the CLI's output on purpose, remake the record:
+
+    python tests/cli_grid.py src tests/cli_record.json
+
+This is a script as well as a helper module; tests/test_cli.py also checks
+that the grid uses every option string the parser defines.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import platform
 import random
+import runpy
 import shutil
 import subprocess
 import sys
 import tempfile
+import traceback
+from functools import partial
 from pathlib import Path
 
 DATASETS = ("karate", "dolphins", "celegans-metabolic", "paper-g14")
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def clustered_text(n: int, seed: int) -> str:
@@ -178,56 +193,158 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_one(src: Path, name: str | None, argv: tuple[str, ...], env: dict[str, str]) -> dict:
+def versions() -> dict[str, str]:
+    """The Python and numpy versions a record is made under: the printed
+    floats are only comparable between records made under the same ones."""
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def copy_input(work: Path, name: str | None, data: Path) -> None:
+    """Write the run's input into work as input.edges: a grid text, or a
+    dataset from the package's data directory."""
+    if name in TEXTS:
+        (work / "input.edges").write_text(TEXTS[name])
+    elif name is not None:
+        shutil.copyfile(data / f"{name}.edges", work / "input.edges")
+
+
+def run_record(code: int, stdout: bytes, stderr: str, work: Path) -> dict:
+    return {
+        "exit": code,
+        "stdout_sha256": sha256(stdout),
+        "stderr": stderr,
+        "files": {
+            path.name: sha256(path.read_bytes())
+            for path in sorted(work.iterdir())
+            if path.name != "input.edges"
+        },
+    }
+
+
+def run_subprocess(src: Path, name: str | None, args: list[str], env: dict[str, str]) -> dict:
     base = {k: v for k, v in os.environ.items() if k not in ("TRICENT_TOL", "PYTHONPATH")}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        if name in TEXTS:
-            (work / "input.edges").write_text(TEXTS[name])
-        elif name is not None:
-            shutil.copyfile(src / "tricent" / "data" / f"{name}.edges", work / "input.edges")
+        copy_input(work, name, src / "tricent" / "data")
         proc = subprocess.run(
-            [sys.executable, "-m", "tricent.cli", *argv],
+            [sys.executable, *args],
             cwd=work,
             env={**base, "PYTHONPATH": str(src), "COLUMNS": "80", **env},
             capture_output=True,
         )
-        files = {
-            path.name: sha256(path.read_bytes())
-            for path in sorted(work.iterdir())
-            if path.name != "input.edges"
-        }
-    return {
-        "exit": proc.returncode,
-        "stdout_sha256": sha256(proc.stdout),
-        "stderr": proc.stderr.decode("utf-8", "replace"),
-        "files": files,
-    }
+        return run_record(proc.returncode, proc.stdout, proc.stderr.decode("utf-8", "replace"), work)
+
+
+def run_one(src: Path, name: str | None, argv: tuple[str, ...], env: dict[str, str]) -> dict:
+    return run_subprocess(src, name, ["-m", "tricent.cli", *argv], env)
+
+
+def run_demo(src: Path, demo: Path) -> dict:
+    return run_subprocess(src, None, [str(demo)], {})
+
+
+@contextlib.contextmanager
+def process_state(work: Path, env: dict[str, str]):
+    """Run in work with COLUMNS=80, env and no other TRICENT_TOL, as
+    run_subprocess does; the working directory and both variables are
+    restored on exit."""
+    saved = {k: os.environ.get(k) for k in ("COLUMNS", "TRICENT_TOL", *env)}
+    cwd = os.getcwd()
+    os.environ.pop("TRICENT_TOL", None)
+    os.environ.update({"COLUMNS": "80", **env})
+    os.chdir(work)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+def run_here(name: str | None, env: dict[str, str], call) -> dict:
+    """The record of call() run in this process, in a fresh temporary
+    directory holding the run's input, with stdout and stderr captured; the
+    code of a SystemExit is the exit code, and an uncaught exception exits
+    1 with its traceback on stderr, as in a subprocess."""
+    import tricent
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        copy_input(work, name, Path(tricent.__file__).parent / "data")
+        with process_state(work, env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = call()
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+            except Exception:
+                code = 1
+                traceback.print_exc()
+        return run_record(code, out.getvalue().encode(), err.getvalue(), work)
+
+
+def run_in_process(name: str | None, argv: tuple[str, ...], env: dict[str, str]) -> dict:
+    """run_one's record, made by calling tricent.cli.main in this process."""
+    from tricent.cli import main
+
+    return run_here(name, env, lambda: main(list(argv)))
+
+
+def run_demo_in_process(demo: Path) -> dict:
+    """run_demo's record, made by running the demo's code in this process."""
+
+    def run() -> int:
+        runpy.run_path(str(demo), run_name="__main__")
+        return 0
+
+    return run_here(None, {}, run)
+
+
+def make_record(run, demo_run) -> dict:
+    """Every grid run's record through run(name, argv, env) and every demo's
+    through demo_run(path), keyed by run id, with versions()."""
+    runs = {run_id(*r): run(*r) for r in grid()}
+    runs.update({f"[demo] {demo.name}": demo_run(demo) for demo in DEMOS})
+    return {**versions(), "runs": runs}
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """One line per run whose records in a and b differ, naming the fields."""
+    lines = []
+    for key in sorted(a["runs"].keys() | b["runs"].keys()):
+        if key not in a["runs"] or key not in b["runs"]:
+            lines.append(f"{key}: only in {'the first' if key in a['runs'] else 'the second'} record")
+        elif a["runs"][key] != b["runs"][key]:
+            got, want = a["runs"][key], b["runs"][key]
+            fields = [f for f in ("exit", "stdout_sha256", "stderr", "files") if got[f] != want[f]]
+            lines.append(f"{key}: {', '.join(fields)} differ")
+    return lines
 
 
 def run_grid(src: Path, out: Path) -> int:
-    runs = {run_id(*run): run_one(src, *run) for run in grid()}
-    out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
-    codes = sorted({r["exit"] for r in runs.values()})
-    files = sum(len(r["files"]) for r in runs.values())
+    record = make_record(partial(run_one, src), partial(run_demo, src))
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    runs = record["runs"].values()
+    codes = sorted({r["exit"] for r in runs})
+    files = sum(len(r["files"]) for r in runs)
     print(f"{len(runs)} runs, {files} files written, exit codes {codes}: {out}")
     return 0
 
 
 def diff(a_path: Path, b_path: Path) -> int:
     a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
-    differ = 0
-    for key in sorted(a.keys() | b.keys()):
-        if key not in a or key not in b:
-            print(f"{key}: only in {a_path if key in a else b_path}")
-        elif a[key] != b[key]:
-            fields = [f for f in ("exit", "stdout_sha256", "stderr", "files") if a[key][f] != b[key][f]]
-            print(f"{key}: {', '.join(fields)} differ")
-        else:
-            continue
-        differ += 1
-    print(f"{len(a.keys() | b.keys())} runs, {differ} differ")
-    return 1 if differ else 0
+    made = [{k: r[k] for k in versions()} for r in (a, b)]
+    if made[0] != made[1]:
+        print(f"made under different versions: {made[0]} and {made[1]}")
+    lines = differences(a, b)
+    print("".join(f"{line}\n" for line in lines), end="")
+    print(f"{len(a['runs'].keys() | b['runs'].keys())} runs, {len(lines)} differ")
+    return 1 if lines else 0
 
 
 def main(args: list[str]) -> int:

@@ -24,7 +24,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -75,12 +75,13 @@ def triangles_by_combinations(graph: Graph) -> list[tuple[int, int, int]]:
     return found
 
 
-def triangles_by_forward_loop(graph: Graph) -> TriangleSet:
+def triangles_by_forward_loop(graph: Graph) -> tuple[tuple[int, int, int], ...]:
     """List every 3-clique once via the degree-ordered forward algorithm.
 
     Vertices are processed in non-increasing degree order (ties by id); each
     triangle is reported exactly once in O(m^(3/2)) intersections. Output is
-    canonically sorted, so the result is independent of processing order.
+    canonically sorted, as (p, q, r) tuples with p < q < r, so the result is
+    independent of processing order.
     """
     n = graph.n
     order = sorted(range(n), key=lambda v: (-len(graph.adjacency[v]), v))
@@ -98,7 +99,7 @@ def triangles_by_forward_loop(graph: Graph) -> TriangleSet:
                 triangles.append(tuple(sorted((u, v, w))))
             forward[u].add(v)
     triangles.sort()
-    return TriangleSet(triangles=tuple(triangles), n=n)
+    return tuple(triangles)
 
 
 def components_by_bfs(graph: Graph) -> list[set[int]]:
@@ -569,12 +570,38 @@ def kendall_tau_b(a: np.ndarray, b: np.ndarray, tol: float) -> float:
 # The four hand-written "edge set -> Graph" builders, the dense-tensor oracle
 # of the operator, and the two Collatz-Wielandt power loops, as they were.
 # The array builder and the shared shifted power kernel must reproduce them
-# exactly: same graphs, bitwise-equal solver results and reports.
+# exactly: same graphs, bitwise-equal solver results and reports. Each
+# builder returns, next to a Graph made from its edges, its own adjacency
+# and edge tuples, which the library graph's views and arrays must equal.
 
 MATERIALIZE_LIMIT = 64
 
 
-def graph_from_edge_labels(pairs: Iterable[tuple[str, str]]) -> Graph:
+class OracleGraph(NamedTuple):
+    """A graph a builder below made: graph has its labels and edge rows, and
+    adjacency and edges are the builder's own tuples of Python ints."""
+
+    graph: Graph
+    adjacency: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int], ...]
+
+
+def oracle_graph(labels: Sequence[str], edge_set: Iterable[tuple[int, int]]) -> OracleGraph:
+    """The OracleGraph on labels with the (u, v), u < v, of edge_set: each
+    vertex's neighbours gathered by a loop and sorted, and the edges sorted."""
+    adj: list[list[int]] = [[] for _ in labels]
+    for u, v in edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    edges = tuple(sorted(edge_set))
+    return OracleGraph(
+        Graph(labels=tuple(labels), edge_array=np.array(edges, dtype=np.int64).reshape(-1, 2)),
+        tuple(tuple(sorted(nbrs)) for nbrs in adj),
+        edges,
+    )
+
+
+def graph_from_edge_labels(pairs: Iterable[tuple[str, str]]) -> OracleGraph:
     """Build a graph from (label, label) pairs, ids in first-appearance order."""
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -593,18 +620,10 @@ def graph_from_edge_labels(pairs: Iterable[tuple[str, str]]) -> Graph:
         edge_set.add((min(u, v), max(u, v)))
     if not labels:
         raise GraphValidationError("empty graph")
-    adj: list[list[int]] = [[] for _ in labels]
-    for u, v in edge_set:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(
-        labels=tuple(labels),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        edges=tuple(sorted(edge_set)),
-    )
+    return oracle_graph(labels, edge_set)
 
 
-def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Graph:
+def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> OracleGraph:
     """Parse edge-list text into a Graph.
 
     Every non-comment line holds two whitespace-separated vertex labels;
@@ -667,42 +686,26 @@ def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Grap
         if self_loops:
             parts.append(f"{self_loops} self-loop line(s)")
         warnings.warn("dropped " + " and ".join(parts), DuplicateEdgeWarning, stacklevel=2)
-
-    adj: list[list[int]] = [[] for _ in labels]
-    for u, v in edge_set:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(
-        labels=tuple(labels),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        edges=tuple(sorted(edge_set)),
-    )
+    return oracle_graph(labels, edge_set)
 
 
-def remove_vertices(graph: Graph, labels: Iterable[str]) -> Graph:
+def remove_vertices(graph: Graph, labels: Iterable[str]) -> OracleGraph:
     """Induced subgraph on the surviving vertices; their labels are kept."""
     doomed = {graph.id_of(lab) for lab in labels}
     survivors = [i for i in range(graph.n) if i not in doomed]
     if not survivors:
         raise GraphValidationError("removal would leave an empty graph")
     new_id = {old: new for new, old in enumerate(survivors)}
-    adj: list[list[int]] = [[] for _ in survivors]
     edges: list[tuple[int, int]] = []
     for u, v in graph.edges:
         if u in doomed or v in doomed:
             continue
         a, b = new_id[u], new_id[v]
-        adj[a].append(b)
-        adj[b].append(a)
         edges.append((min(a, b), max(a, b)))
-    return Graph(
-        labels=tuple(graph.labels[i] for i in survivors),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        edges=tuple(sorted(edges)),
-    )
+    return oracle_graph([graph.labels[i] for i in survivors], edges)
 
 
-def induced(graph: Graph, keep: list[int]) -> Graph:
+def induced(graph: Graph, keep: list[int]) -> OracleGraph:
     new_id = {old: new for new, old in enumerate(keep)}
     keep_set = set(keep)
     edges = [
@@ -710,15 +713,7 @@ def induced(graph: Graph, keep: list[int]) -> Graph:
         for u, v in graph.edges
         if u in keep_set and v in keep_set
     ]
-    adj: list[list[int]] = [[] for _ in keep]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(
-        labels=tuple(graph.labels[i] for i in keep),
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
-        edges=tuple(sorted(edges)),
-    )
+    return oracle_graph([graph.labels[i] for i in keep], edges)
 
 
 def materialize_tensor(

@@ -749,21 +749,33 @@ def test_bad_measure_tokens_fail_before_any_measure_is_computed(
     assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
 
 
-def test_cli_sweep_runs_the_component_bfs_once(capsys, monkeypatch):
+def test_cli_sweep_finds_the_components_once(capsys, monkeypatch):
     """The connectivity check and all six atec solves read one partition."""
-    bfs, roots = tricent.graph._bfs, []
+    partition, partitioned = tricent.graph._partition, []
 
-    def counted(adjacency, root, parent):
-        roots.append(root)
-        return bfs(adjacency, root, parent)
+    def counted(graph):
+        partitioned.append(graph)
+        return partition(graph)
 
-    monkeypatch.setattr(tricent.graph, "_bfs", counted)
+    monkeypatch.setattr(tricent.graph, "_partition", counted)
     code, out, _ = run(
         capsys, "sweep", "--input", str(dataset_path("karate")),
         "--alphas", "1,0.8,0.6,0.4,0.2,0.01",
     )
     assert code == 0 and out
-    assert roots == [0]
+    assert len(partitioned) == 1
+
+
+def test_cli_output_matches_the_record():
+    """Every grid run and demo, run in process, prints and writes what
+    tests/cli_record.json holds; floats print alike only under the Python and
+    numpy the record was made under, so other versions fail rather than skip."""
+    record = json.loads((Path(__file__).parent / "cli_record.json").read_text())
+    here = cli_grid.versions()
+    made = {key: record[key] for key in here}
+    assert made == here, f"the record was made under {made}, this run is under {here}"
+    got = cli_grid.make_record(cli_grid.run_in_process, cli_grid.run_demo_in_process)
+    assert cli_grid.differences(got, record) == []
 
 
 def test_cli_grid_uses_every_option():

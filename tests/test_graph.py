@@ -1,6 +1,9 @@
 import io
 import random
+import re
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import tricent
@@ -9,17 +12,23 @@ from tricent import (
     EdgeListParseError,
     Graph,
     GraphValidationError,
+    TriangleSet,
     atec,
     atec_per_component,
+    betweenness_centrality,
     connected_components,
+    dataset_names,
+    dataset_path,
     degree_and_triangle_stats,
     dump_edge_list,
     enumerate_triangles,
     is_connected,
     load_dataset,
     load_edge_list,
+    removal_experiment,
     remove_vertices,
     triangle_centrality,
+    triangle_importance,
 )
 
 from oracles import (
@@ -116,6 +125,54 @@ class TestLoadEdgeList:
         assert reloaded.labels == g14.labels
         assert reloaded.edges == g14.edges
         assert reloaded.adjacency == g14.adjacency
+
+
+def labelled_edges(graph: Graph) -> set[frozenset[str]]:
+    return {frozenset((graph.labels[u], graph.labels[v])) for u, v in graph.edges}
+
+
+def dump_cases() -> list[Graph]:
+    """The datasets, and seeded random graphs on odd labels with their edges
+    shuffled, so their ids do not follow the order edge_array dumps them in."""
+    rng = random.Random(20261019)
+    names = ["é", "a,b", 'q"r', "x-1", "01", "1", "+1", "ü_z"] + [f"v{i}" for i in range(40)]
+    graphs = [load_dataset(name) for name in dataset_names()]
+    for _ in range(6):
+        base = random_connected_graph(rng, rng.randrange(2, 40), 0.2)
+        label = rng.sample(names, base.n)
+        pairs = [(label[u], label[v]) for u, v in base.edges]
+        rng.shuffle(pairs)
+        graphs.append(Graph.from_edge_labels(pairs))
+    return graphs
+
+
+@pytest.mark.parametrize("graph", dump_cases(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_dump_round_trips_labels_and_labelled_edges(graph):
+    text = dump_edge_list(graph)
+    reloaded = load_edge_list(io.StringIO(text))
+    assert sorted(reloaded.labels) == sorted(graph.labels)
+    assert labelled_edges(reloaded) == labelled_edges(graph)
+    assert reloaded.labels == tuple(dict.fromkeys(text.split()))  # ids by first appearance
+
+
+@pytest.mark.parametrize(
+    "graph, first",
+    [
+        (remove_vertices(Graph.from_edge_labels([("a", "b"), ("b", "c"), ("c", "d")]), ["b"]), "a"),
+        (Graph.from_edge_labels([("a b", "c")]), "a b"),
+        (Graph.from_edge_labels([("x", ""), ("", "y")]), ""),
+        (Graph.from_edge_labels([("x", "y#z")]), "y#z"),
+        (Graph.from_edge_labels([("x", "#")]), "#"),
+        (Graph.from_edge_labels([("x", "y\n")]), "y\n"),
+        (Graph.from_edge_labels([("ok", "a\tb"), ("a\tb", "c#")]), "a\tb"),
+        (remove_vertices(Graph.from_edge_labels([("p", "q"), ("q", "r r")]), ["q"]), "p"),
+    ],
+)
+def test_dump_refuses_what_edge_list_text_cannot_hold(graph, first):
+    """An isolated vertex, or a label that does not read back as one token;
+    the first such vertex by id is named."""
+    with pytest.raises(GraphValidationError, match=re.escape(repr(first))):
+        dump_edge_list(graph)
 
 
 class TestConnectedComponents:
@@ -309,24 +366,24 @@ def test_is_connected(k3):
     assert not is_connected(Graph.from_edge_labels([("a", "b"), ("c", "d")]))
 
 
-def test_component_bfs_runs_once_per_graph(monkeypatch):
-    """Six atec solves on one Graph share one component BFS, and every
+def test_component_partition_runs_once_per_graph(monkeypatch):
+    """Six atec solves on one Graph share one component partition, and every
     caller gets its own copy of the cached partition."""
-    bfs, roots = tricent.graph._bfs, []
+    partition, partitioned = tricent.graph._partition, []
 
-    def counted(adjacency, root, parent):
-        roots.append(root)
-        return bfs(adjacency, root, parent)
+    def counted(graph):
+        partitioned.append(graph)
+        return partition(graph)
 
-    monkeypatch.setattr(tricent.graph, "_bfs", counted)
+    monkeypatch.setattr(tricent.graph, "_partition", counted)
     g = load_dataset("karate")  # a fresh Graph: nothing cached yet
     triangles = enumerate_triangles(g)
     for alpha in (1.0, 0.8, 0.6, 0.4, 0.2, 0.01):
         atec(g, alpha, triangles=triangles)
-    assert roots == [0]
+    assert partitioned == [g]
     connected_components(g)[0].clear()
     assert connected_components(g) == [set(range(g.n))] and is_connected(g)
-    assert roots == [0]
+    assert partitioned == [g]
 
 
 def test_triangles_are_listed_once_per_graph(monkeypatch):
@@ -352,24 +409,26 @@ def test_triangles_are_listed_once_per_graph(monkeypatch):
 @pytest.mark.parametrize("alphas", [(0.5,), (1.0, 0.8, 0.6, 0.4, 0.2, 0.01)])
 def test_per_component_sweep_builds_each_subgraph_once(monkeypatch, alphas):
     """A disconnected graph keeps its component subgraphs, so a per-component
-    sweep runs its BFS and triangle listings once, whatever the alphas."""
-    bfs, listing, roots, listed = tricent.graph._bfs, tricent.graph._list_triangles, [], []
+    sweep finds each partition and lists each triangle set once, whatever
+    the alphas."""
+    partition, listing = tricent.graph._partition, tricent.graph._list_triangles
+    partitioned, listed = [], []
 
-    def counted_bfs(adjacency, root, parent):
-        roots.append(root)
-        return bfs(adjacency, root, parent)
+    def counted_partition(graph):
+        partitioned.append(graph)
+        return partition(graph)
 
     def counted_listing(graph):
         listed.append(graph)
         return listing(graph)
 
-    monkeypatch.setattr(tricent.graph, "_bfs", counted_bfs)
+    monkeypatch.setattr(tricent.graph, "_partition", counted_partition)
     monkeypatch.setattr(tricent.graph, "_list_triangles", counted_listing)
     g = Graph.from_edge_labels([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f")])
     reports = [atec_per_component(g, alpha) for alpha in alphas]
     subgraphs = g._component_subgraphs
     assert [sub.labels for sub in subgraphs] == [("a", "b", "c"), ("d", "e", "f")]
-    assert len(roots) == 4  # the graph's two components, then one per subgraph
+    assert partitioned == [g, *subgraphs]  # the graph's, then one per subgraph
     assert listed == list(subgraphs)
     assert all(g._component_subgraphs is subgraphs for _ in reports)
 
@@ -378,3 +437,84 @@ def test_connected_graph_does_not_keep_itself_as_a_subgraph():
     g = load_dataset("karate")
     atec_per_component(g, 0.5)
     assert "_component_subgraphs" not in vars(g)
+
+
+def graph_on(rng: random.Random, n: int, pairs: list[tuple[int, int]]) -> Graph:
+    """The graph on n vertices with the edges pairs, its ids shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    ends = np.array([(perm[a], perm[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
+    return tricent.graph._build_graph(tuple(map(str, range(n))), ends[:, 0], ends[:, 1])
+
+
+def partition_cases() -> list[Graph]:
+    rng = random.Random(20261019)
+    graphs = []
+    for _ in range(12):  # sparse random graphs: isolated vertices and small components
+        n = rng.randrange(1, 80)
+        graphs.append(graph_on(rng, n, [e for e in combinations(range(n), 2) if rng.random() < 1.5 / n]))
+    for _ in range(6):  # many components of one to three vertices
+        pairs, n = [], 0
+        for _ in range(rng.randrange(20, 300)):
+            size = rng.randint(1, 3)
+            pairs += [(n, n + 1), (n + 1, n + 2), (n, n + 2)][: (0, 1, rng.choice((2, 3)))[size - 1]]
+            n += size
+        graphs.append(graph_on(rng, n, pairs))
+    for n in (1, 2, 3, 60, 2000):  # paths and trees
+        graphs.append(graph_on(rng, n, [(v - 1, v) for v in range(1, n)]))
+        graphs.append(graph_on(rng, n, [(rng.randrange(v), v) for v in range(1, n)]))
+    return graphs
+
+
+@pytest.mark.parametrize("graph", partition_cases(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_partition_matches_bfs(graph):
+    """The array partition: read-only ascending int64 id arrays, ordered by
+    smallest member, equal to the plain BFS's components."""
+    comps = graph._components
+    assert [c.tolist() for c in comps] == [sorted(c) for c in components_by_bfs(graph)]
+    assert all(c.dtype == np.int64 and not c.flags.writeable for c in comps)
+
+
+def test_partition_cases_cover_each_shape():
+    sizes = [[len(c) for c in g._components] for g in partition_cases()]
+    assert any(1 in s and len(s) > 1 for s in sizes)  # an isolated vertex beside others
+    assert any(len(s) > 100 and max(s) <= 3 for s in sizes)
+    assert any(s == [2000] for s in sizes)
+
+
+def test_hot_paths_build_no_tuple_view(monkeypatch):
+    """Loading, listing, a six-alpha atec with its importance rankings,
+    triangle centrality, betweenness, removal, and per-component solves of a
+    disconnected graph read the index arrays only: no Graph or TriangleSet
+    made on the way builds its adjacency, edges or triangles tuples."""
+    made = []
+
+    def recording(init):
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        return record
+
+    for cls in (Graph, TriangleSet):
+        monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
+    karate = load_edge_list(dataset_path("karate"))
+    triangles = enumerate_triangles(karate)
+    for alpha in (1.0, 0.8, 0.6, 0.4, 0.2, 0.01):
+        triangle_importance(karate, triangles, atec(karate, alpha, triangles=triangles))
+    text = dataset_path("karate").read_text() + "a b\nb c\nc a\nc d\ne e\n"
+    with pytest.warns(DuplicateEdgeWarning):
+        split = load_edge_list(io.StringIO(text), dedupe=True)  # e is isolated
+    for graph in (karate, split):
+        triangle_centrality(graph, enumerate_triangles(graph))
+        betweenness_centrality(graph)
+    removal_experiment(karate, ["1", "34"])
+    removal_experiment(split, ["c"])
+    for alpha in (1.0, 0.5, 0.01):
+        atec_per_component(split, alpha)
+    assert len(split._components) == 3
+    # karate, split, two removals, split's three subgraphs; and their triangles
+    assert [type(x) for x in made].count(Graph) == 7
+    assert [type(x) for x in made].count(TriangleSet) == 5
+    built = [(x, key) for x in made for key in ("adjacency", "edges", "triangles") if key in vars(x)]
+    assert built == []
