@@ -22,6 +22,7 @@ import numpy as np
 from .centrality import fiedler_vector
 from .graph import Graph, TriangleSet, remove_vertices
 from .report import CentralityReport, competition_rank, label_sort_key
+from .tensor import MAX_VERTICES
 
 TRIANGLE_TIE_TOL = 1e-12
 
@@ -82,11 +83,16 @@ def _rank_triangles(
     tie_tol: float,
 ) -> TriangleRanking:
     """Rank triangles by descending score, ties by their label-sorted triples."""
+    n = graph.n
     pos = graph._label_positions
-    by_pos = np.empty(graph.n, dtype=object)
+    by_pos = np.empty(n, dtype=object)
     by_pos[pos] = graph.labels
     corners = np.sort(pos[triangles.triangle_array], axis=1)
-    order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
+    if n <= MAX_VERTICES:  # n**3 < 2**63: one int64 key per label-sorted triple
+        tiebreak = ((corners[:, 0] * n + corners[:, 1]) * n + corners[:, 2],)
+    else:
+        tiebreak = tuple(corners.T)
+    order, _, rank = competition_rank(scores, tiebreak, tie_tol)
     triples = zip(*by_pos[corners[order]].T.tolist())  # built from columns: no list per row
     columns = (triples, scores[order].tolist(), rank.tolist())
     # tuple.__new__ is what RankedTriangle._make calls, minus a call and a length check
@@ -300,11 +306,14 @@ def rank_correlation(
     if not tie_tol >= 0:
         raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")
     if isinstance(a, CentralityReport) and isinstance(b, CentralityReport):
-        if set(a.labels) != set(b.labels):
-            raise ValueError("reports cover different vertex sets")
-        order = {lab: i for i, lab in enumerate(b.labels)}
         xa = np.asarray(a.scores, dtype=float)
-        xb = np.asarray([b.scores[order[lab]] for lab in a.labels], dtype=float)
+        if a.labels == b.labels:  # reports of one graph: already aligned
+            xb = np.asarray(b.scores, dtype=float)
+        else:
+            if set(a.labels) != set(b.labels):
+                raise ValueError("reports cover different vertex sets")
+            order = {lab: i for i, lab in enumerate(b.labels)}
+            xb = np.asarray([b.scores[order[lab]] for lab in a.labels], dtype=float)
     else:
         xa = a.scores if isinstance(a, CentralityReport) else np.asarray(a, dtype=float)
         xb = b.scores if isinstance(b, CentralityReport) else np.asarray(b, dtype=float)

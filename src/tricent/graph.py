@@ -66,6 +66,8 @@ class Graph:
     every edge once as a row (i, j), i < j, rows sorted, in a read-only int64
     array. adjacency (each vertex's neighbours, ascending) and edges (the
     rows) are the same data as tuples of Python ints, built when first read.
+    The constructor raises GraphValidationError for repeated labels or an
+    edge_array that breaks this form.
     """
 
     labels: tuple[str, ...]
@@ -76,6 +78,7 @@ class Graph:
         index = {lab: i for i, lab in enumerate(self.labels)}
         if len(index) != len(self.labels):
             raise GraphValidationError("labels are not unique")
+        _check_rows(self.edge_array, 2, len(self.labels), "edge_array")
         object.__setattr__(self, "_label_to_id", index)
         self.edge_array.setflags(write=False)
 
@@ -315,13 +318,16 @@ class TriangleSet:
 
     triangle_array holds each clique once as a row (p, q, r) with p < q < r,
     rows sorted, in a read-only (T, 3) int64 array; triangles is the same
-    rows as tuples of Python ints, built when first read.
+    rows as tuples of Python ints, built when first read. The constructor
+    raises GraphValidationError for a triangle_array that breaks this form;
+    that the rows are cliques of some graph is not checked.
     """
 
     triangle_array: np.ndarray
     n: int
 
     def __post_init__(self):
+        _check_rows(self.triangle_array, 3, self.n, "triangle_array")
         self.triangle_array.setflags(write=False)
 
     def __len__(self) -> int:
@@ -334,6 +340,31 @@ class TriangleSet:
     def count_per_vertex(self) -> list[int]:
         """T(i): number of triangles containing each vertex."""
         return np.bincount(self.triangle_array.ravel(), minlength=self.n).tolist()
+
+
+def _check_rows(rows: np.ndarray, width: int, n: int, name: str) -> None:
+    """Raise GraphValidationError unless rows is an int64 (k, width) array,
+    width 2 or 3, of vertex ids below n, each row strictly ascending and the
+    rows strictly ascending in lexicographic order (so none repeats)."""
+    if not (
+        isinstance(rows, np.ndarray)
+        and rows.dtype == np.int64
+        and rows.ndim == 2
+        and rows.shape[1] == width
+    ):
+        raise GraphValidationError(f"{name} must be an int64 array of shape (k, {width})")
+    if not len(rows):
+        return
+    if (rows[:, 1:] <= rows[:, :-1]).any():
+        raise GraphValidationError(f"{name} holds a row that does not strictly ascend")
+    last = rows[:, -1]
+    if rows[:, 0].min() < 0 or last.max() >= n:
+        raise GraphValidationError(f"{name} holds a vertex id outside 0..{n - 1}")
+    # rows ascend by their leading columns, as one key, then by the last one
+    lead = rows[:, 0] * n + rows[:, 1] if width == 3 else rows[:, 0]
+    step = lead[1:] - lead[:-1]
+    if not ((step > 0) | ((step == 0) & (last[1:] > last[:-1]))).all():
+        raise GraphValidationError(f"{name} rows are not sorted and unique")
 
 
 def enumerate_triangles(graph: Graph) -> TriangleSet:

@@ -7,11 +7,12 @@ Run the grid on two source trees, such as a parent commit's src/ and a
 change's, then diff the two records to check that the CLI's output stayed
 byte-identical. Each run starts `python -m tricent.cli` in a fresh temporary
 directory that holds only its input, copied in as input.edges, with
-PYTHONPATH=SRC, COLUMNS=80 and no inherited TRICENT_TOL; the four demos run
-as `python demos/NAME.py` with the same environment. A run's record holds
-its exit code, the SHA-256 of its stdout, its stderr text and the SHA-256 of
-every file it wrote; a record also names the Python and numpy versions it
-was made under. The runs go one at a time; a grid takes about a minute.
+PYTHONPATH=SRC, COLUMNS=80, BLAS on one thread (BLAS_ENV) and no inherited
+TRICENT_TOL; the four demos run as `python demos/NAME.py` with the same
+environment. A run's record holds its exit code, the SHA-256 of its stdout,
+its stderr text and the SHA-256 of every file it wrote; a record also names
+the Python and numpy versions and the BLAS thread setting it was made
+under. The runs go one at a time; a grid takes about a minute.
 
 tests/cli_record.json is the grid's record; tests/test_cli.py runs the grid
 in process (run_in_process, a few seconds) and diffs it against that record.
@@ -42,6 +43,10 @@ from functools import partial
 from pathlib import Path
 
 DATASETS = ("karate", "dolphins", "celegans-metabolic", "paper-g14")
+# LAPACK's eigh (subgraph centrality, the Fiedler vector's fallback) gives
+# other bits under other BLAS thread counts, so every run has one thread;
+# tests/conftest.py sets the same before numpy loads
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
@@ -194,11 +199,16 @@ def sha256(data: bytes) -> str:
 
 
 def versions() -> dict[str, str]:
-    """The Python and numpy versions a record is made under: the printed
-    floats are only comparable between records made under the same ones."""
+    """The Python and numpy versions and the BLAS thread setting a record is
+    made under: the printed floats are only comparable between records made
+    under the same ones."""
     import numpy
 
-    return {"python": platform.python_version(), "numpy": numpy.__version__}
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": " ".join(f"{key}={os.environ.get(key, '')}" for key in BLAS_ENV),
+    }
 
 
 def copy_input(work: Path, name: str | None, data: Path) -> None:
@@ -231,7 +241,7 @@ def run_subprocess(src: Path, name: str | None, args: list[str], env: dict[str, 
         proc = subprocess.run(
             [sys.executable, *args],
             cwd=work,
-            env={**base, "PYTHONPATH": str(src), "COLUMNS": "80", **env},
+            env={**base, **BLAS_ENV, "PYTHONPATH": str(src), "COLUMNS": "80", **env},
             capture_output=True,
         )
         return run_record(proc.returncode, proc.stdout, proc.stderr.decode("utf-8", "replace"), work)
@@ -327,6 +337,7 @@ def differences(a: dict, b: dict) -> list[str]:
 
 
 def run_grid(src: Path, out: Path) -> int:
+    os.environ.update(BLAS_ENV)  # what versions() reads: the runs' setting
     record = make_record(partial(run_one, src), partial(run_demo, src))
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     runs = record["runs"].values()
@@ -338,7 +349,7 @@ def run_grid(src: Path, out: Path) -> int:
 
 def diff(a_path: Path, b_path: Path) -> int:
     a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
-    made = [{k: r[k] for k in versions()} for r in (a, b)]
+    made = [{k: r.get(k) for k in versions()} for r in (a, b)]
     if made[0] != made[1]:
         print(f"made under different versions: {made[0]} and {made[1]}")
     lines = differences(a, b)

@@ -1,6 +1,16 @@
-import pytest
+"""Shared fixtures. BLAS is pinned to one thread here, before anything
+imports numpy: LAPACK's eigh gives other bits under other thread counts,
+and tests/cli_record.json was made with the same pin (cli_grid.BLAS_ENV)."""
 
-from tricent import Graph, enumerate_triangles, load_dataset
+import os
+
+import cli_grid
+
+os.environ.update(cli_grid.BLAS_ENV)
+
+import pytest  # noqa: E402
+
+from tricent import Graph, enumerate_triangles, load_dataset  # noqa: E402
 
 
 @pytest.fixture(scope="session")

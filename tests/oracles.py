@@ -264,6 +264,23 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edge_labels([("c", str(i)) for i in range(1, leaves + 1)])
 
 
+def wheel_graph(spokes: int) -> Graph:
+    """A hub joined to every vertex of a cycle of the given length."""
+    rim = [(f"r{i}", f"r{(i + 1) % spokes}") for i in range(spokes)]
+    return Graph.from_edge_labels([("h", f"r{i}") for i in range(spokes)] + rim)
+
+
+def spider_graph(legs: Sequence[int]) -> Graph:
+    """Paths of the given lengths hung from one hub. Equal legs make
+    lambda_2 of the Laplacian repeat; one leg a vertex longer splits it by
+    a gap that shrinks as the legs grow."""
+    pairs = []
+    for k, length in enumerate(legs):
+        ends = ["hub", *(f"l{k}.{i}" for i in range(length))]
+        pairs += zip(ends, ends[1:])
+    return Graph.from_edge_labels(pairs)
+
+
 def holme_kim_graph(rng: random.Random, n: int, m: int = 4, p: float = 0.6) -> Graph:
     """Holme-Kim-like clustered power-law graph, connected, labels '0'..'n-1'.
 
@@ -359,6 +376,31 @@ def betweenness_by_loop(graph: Graph) -> np.ndarray:
                 bc[w] += delta[w]
     # every unordered pair was accumulated from both endpoints
     return np.array([float(b / 2) for b in bc])
+
+
+def fiedler_vector_by_eigh(graph: Graph, tol: float = 1e-8) -> np.ndarray:
+    """The Fiedler vector from the full dense eigendecomposition.
+
+    The library's routine as it was before it solved for the vector: the
+    dense Laplacian diag(A 1) - A, eigh, the second eigenvector normalized,
+    the residual checked against tol with a dense product, and the sign
+    fixed so the first component larger than tol in magnitude is positive.
+    """
+    a = adjacency_of(graph)
+    lap = np.diag(a.sum(axis=1)) - a
+    eigenvalues, vectors = np.linalg.eigh(lap)
+    lam2 = float(eigenvalues[1])
+    v = vectors[:, 1].copy()
+    v /= np.linalg.norm(v)
+    residual = float(np.max(np.abs(lap @ v - lam2 * v)))
+    if residual >= tol:
+        raise ValueError(f"Fiedler residual {residual:.3e} exceeds tol {tol:.3e}")
+    for value in v:
+        if abs(value) > tol:
+            if value < 0:
+                v = -v
+            break
+    return v
 
 
 def triangle_centrality_by_loop(graph: Graph, triangles: TriangleSet) -> np.ndarray:

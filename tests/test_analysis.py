@@ -10,14 +10,19 @@ from tricent import (
     Graph,
     GraphValidationError,
     atec,
+    betweenness_centrality,
     cycle_index_fiedler,
+    degree_centrality,
     enumerate_triangles,
     fiedler_vector,
     load_dataset,
+    make_report,
     rank_correlation,
     removal_experiment,
+    triangle_centrality,
     triangle_importance,
 )
+from tricent import analysis
 from tricent.analysis import TRIANGLE_TIE_TOL
 from tricent.report import label_sort_key
 
@@ -146,6 +151,22 @@ class TestTriangleImportance:
         with pytest.raises(ValueError, match="does not match"):
             triangle_importance(k3, enumerate_triangles(k3), np.ones(5))
 
+    def test_packed_tiebreak_key_orders_like_the_corner_columns(
+        self, monkeypatch, celegans, celegans_triangles
+    ):
+        """Tie groups ordered by one packed int64 key per label-sorted triple
+        come out as when ordered by its three columns (the path past
+        MAX_VERTICES, where the key could wrap)."""
+        degrees = degree_centrality(celegans).scores  # integer sums: large tie groups
+        rankings = [
+            triangle_importance(celegans, celegans_triangles, degrees),
+            cycle_index_fiedler(celegans, celegans_triangles),
+        ]
+        assert len({e.rank for e in rankings[0].entries}) < len(rankings[0]) / 5
+        monkeypatch.setattr(analysis, "MAX_VERTICES", 0)
+        assert triangle_importance(celegans, celegans_triangles, degrees).entries == rankings[0].entries
+        assert cycle_index_fiedler(celegans, celegans_triangles).entries == rankings[1].entries
+
 
 class TestCycleIndexFiedler:
     def test_k3_nonnegative(self, k3):
@@ -256,6 +277,26 @@ class TestRankCorrelation:
                 a,
                 make_report("y", {}, ("1", "2"), np.array([1.0, 2.0]), "raw"),
             )
+
+    @pytest.mark.parametrize("method", ("pearson", "spearman", "kendall"))
+    def test_shared_labels_match_the_aligned_path(self, karate, method):
+        """Reports of one graph skip the alignment by label; each b under
+        shuffled labels goes through it and gives bitwise the same value."""
+        rng = random.Random(1601)
+        triangles = enumerate_triangles(karate)
+        reports = [
+            atec(karate, 0.2),
+            degree_centrality(karate),
+            triangle_centrality(karate, triangles),
+            betweenness_centrality(karate),
+        ]
+        for a, b in itertools.combinations(reports, 2):
+            order = list(range(karate.n))
+            rng.shuffle(order)
+            moved = make_report(b.measure, {}, [b.labels[i] for i in order], b.scores[order], "raw")
+            assert moved.labels != a.labels
+            got, want = rank_correlation(a, b, method), rank_correlation(a, moved, method)
+            assert got.hex() == want.hex()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):

@@ -518,3 +518,75 @@ def test_hot_paths_build_no_tuple_view(monkeypatch):
     assert [type(x) for x in made].count(TriangleSet) == 5
     built = [(x, key) for x in made for key in ("adjacency", "edges", "triangles") if key in vars(x)]
     assert built == []
+
+
+# one broken invariant each, and the message of the check that must catch it
+BREAKS = {
+    "int32": "must be an int64 array",
+    "float": "must be an int64 array",
+    "list": "must be an int64 array",
+    "flat": "must be an int64 array",
+    "extra column": "must be an int64 array",
+    "repeated id": "does not strictly ascend",
+    "descending row": "does not strictly ascend",
+    "negative id": "outside",
+    "id n": "outside",
+    "repeated row": "not sorted and unique",
+    "swapped rows": "not sorted and unique",
+}
+
+
+def break_rows(rng: random.Random, rows: np.ndarray, n: int, how: str):
+    """A copy of valid index rows with one invariant broken."""
+    rows = rows.copy()
+    i, j = sorted(rng.sample(range(len(rows)), 2))
+    if how == "int32":
+        return rows.astype(np.int32)
+    if how == "float":
+        return rows.astype(float)
+    if how == "list":
+        return rows.tolist()
+    if how == "flat":
+        return rows.ravel()
+    if how == "extra column":
+        return np.concatenate([rows, rows[:, -1:] + 1], axis=1)
+    if how == "repeated id":
+        rows[i, 1] = rows[i, 0]
+    elif how == "descending row":
+        rows[i] = rows[i, ::-1]
+    elif how == "negative id":
+        rows[0, 0] = -1
+    elif how == "id n":
+        rows[i, -1] = n
+    elif how == "repeated row":
+        rows = np.insert(rows, i, rows[i], axis=0)
+    elif how == "swapped rows":
+        rows[[i, j]] = rows[[j, i]]
+    return rows
+
+
+@pytest.mark.parametrize("how", BREAKS)
+@pytest.mark.parametrize("seed", range(4))
+def test_constructors_refuse_broken_index_arrays(seed, how):
+    """Graph and TriangleSet accept the arrays the library builds, and raise
+    GraphValidationError, from the check named, once one invariant breaks."""
+    rng = random.Random(1600 + seed)
+    graph = random_connected_graph(rng, rng.randrange(12, 60), rng.choice((0.2, 0.5)))
+    triangles = enumerate_triangles(graph)
+    assert len(triangles) >= 2
+    Graph(labels=graph.labels, edge_array=graph.edge_array.copy())
+    TriangleSet(triangle_array=triangles.triangle_array.copy(), n=graph.n)
+    with pytest.raises(GraphValidationError, match=BREAKS[how]):
+        Graph(labels=graph.labels, edge_array=break_rows(rng, graph.edge_array, graph.n, how))
+    with pytest.raises(GraphValidationError, match=BREAKS[how]):
+        TriangleSet(
+            triangle_array=break_rows(rng, triangles.triangle_array, graph.n, how), n=graph.n
+        )
+
+
+def test_constructors_accept_empty_arrays_and_refuse_unsorted_edges():
+    assert Graph(labels=("a",), edge_array=np.empty((0, 2), dtype=np.int64)).m == 0
+    assert len(TriangleSet(triangle_array=np.empty((0, 3), dtype=np.int64), n=0)) == 0
+    # the rows of a triangle listed with each edge as (larger id, smaller id)
+    with pytest.raises(GraphValidationError, match="does not strictly ascend"):
+        Graph(labels=("a", "b", "c"), edge_array=np.array([[1, 0], [2, 1], [2, 0]]))

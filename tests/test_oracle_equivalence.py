@@ -37,7 +37,9 @@ from tricent import (
     degree_centrality,
     eigenvector_centrality,
     enumerate_triangles,
+    fiedler_vector,
     is_connected,
+    laplacian_matrix,
     load_dataset,
     load_edge_list,
     make_report,
@@ -86,6 +88,7 @@ from oracles import (
     triangle_centrality_by_loop,
     triangles_by_forward_loop,
     weak_irreducibility_by_digraph,
+    wheel_graph,
 )
 
 ADVERSARIAL_LABELS = ["01", "1", "+1", "1_0", "-3", "a", "B", "é"]
@@ -1141,6 +1144,180 @@ def test_betweenness_falls_back_to_the_loop_at_2_53_paths(monkeypatch, k, fast):
     exact = betweenness_centrality(graph, exact=True).scores
     assert calls[-1:] == [True]
     assert np.allclose(got, exact, rtol=1e-12, atol=0.0)
+
+
+def direction_graphs() -> dict[str, Graph]:
+    """Graphs whose breadth-first levels go each way: a star's or a wheel's
+    hub level is cheaper bottom-up, a path's levels top-down until its last
+    few; dense random graphs, bushy trees, and a disjoint union of a dense
+    graph, hubs, a path and an isolated vertex mix both."""
+    rng = random.Random(61)
+    graphs = {
+        "star": star_graph(60),
+        "wheel": wheel_graph(60),
+        "path": oracles.path_graph(300),
+        "tree": oracles.random_tree(rng, 300),
+    }
+    for i, (n, p) in enumerate(((30, 0.5), (60, 0.7), (90, 0.9))):
+        graphs[f"dense{i}"] = random_graph(rng, n, p)
+    parts = [random_graph(rng, 60, 0.7), star_graph(20), wheel_graph(15), oracles.path_graph(40)]
+    lines = [f"c{k}:{g.labels[u]} c{k}:{g.labels[v]}" for k, g in enumerate(parts) for u, v in g.edges]
+    rng.shuffle(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        graphs["disconnected"] = load_edge_list(io.StringIO("\n".join([*lines, "x x"])), dedupe=True)
+    return graphs
+
+
+DIRECTION_GRAPHS = direction_graphs()
+
+
+def count_directions(monkeypatch) -> dict[str, int]:
+    """Count the levels _brandes_by_levels expands top-down and bottom-up."""
+    calls = {"top-down": 0, "bottom-up": 0}
+    for name, attr in (("top-down", "_top_down"), ("bottom-up", "_bottom_up")):
+        expand = getattr(centrality, attr)
+
+        def counted(*args, name=name, expand=expand):
+            calls[name] += 1
+            return expand(*args)
+
+        monkeypatch.setattr(centrality, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("block", (None, 1), ids=lambda b: f"block{b or 'auto'}")
+@pytest.mark.parametrize("name", DIRECTION_GRAPHS)
+def test_betweenness_in_both_directions_matches_seed_loop(monkeypatch, name, block):
+    graph = DIRECTION_GRAPHS[name]
+    if block is not None:
+        monkeypatch.setattr(centrality, "_BLOCK_SLOTS", block * (graph.n + 2 * graph.m))
+    calls = count_directions(monkeypatch)
+    got = betweenness_centrality(graph).scores
+    assert got.tobytes() == betweenness_by_loop(graph).tobytes()
+    assert calls["top-down"] + calls["bottom-up"] > 0
+
+
+def test_direction_graphs_go_the_expected_ways(monkeypatch):
+    calls = count_directions(monkeypatch)
+    seen = {}
+    for name, graph in DIRECTION_GRAPHS.items():
+        calls.update({"top-down": 0, "bottom-up": 0})
+        centrality._brandes_by_levels(graph)
+        seen[name] = dict(calls)
+    assert all(seen[name]["bottom-up"] > 0 for name in ("star", "wheel"))
+    # a path's last levels are cheaper bottom-up (fewer unreached arcs), no others
+    assert seen["path"]["top-down"] > 50 * seen["path"]["bottom-up"] > 0
+    for name in ("tree", "dense0", "dense1", "dense2", "disconnected"):
+        assert seen[name]["top-down"] > 0 and seen[name]["bottom-up"] > 0
+    assert len(connected_components(DIRECTION_GRAPHS["disconnected"])) == 5
+
+
+def test_bottom_up_levels_still_fall_back_at_2_53_paths(monkeypatch):
+    """A star hung on the end of 53 diamonds: its hub's level goes bottom-up,
+    and its leaves are 2**53 shortest paths from the chain's start."""
+    chain = diamond_chain(53)
+    pairs = [(chain.labels[u], chain.labels[v]) for u, v in chain.edges]
+    graph = Graph.from_edge_labels(pairs + [("c53", f"leaf{i}") for i in range(200)])
+    calls = count_directions(monkeypatch)
+    loop, fell_back = centrality._brandes_by_loop, []
+
+    def counted(g, exact):
+        fell_back.append(exact)
+        return loop(g, exact)
+
+    monkeypatch.setattr(centrality, "_brandes_by_loop", counted)
+    got = betweenness_centrality(graph).scores
+    assert calls["bottom-up"] > 0 and fell_back == [False]
+    assert got.tobytes() == betweenness_by_loop(graph).tobytes()
+
+
+def fiedler_graphs() -> dict[str, Graph]:
+    """The datasets, seeded random connected graphs (trees to dense) and
+    Holme-Kim graphs."""
+    rng = random.Random(83)
+    graphs = {name: load_dataset(name) for name in dataset_names()}
+    for i in range(16):
+        n = rng.randrange(4, 160)
+        graphs[f"random{i}"] = random_connected_graph(rng, n, rng.choice((0.0, 0.03, 0.1, 0.4)))
+    for n in (300, 600):
+        graphs[f"holme-kim{n}"] = holme_kim_graph(rng, n)
+    graphs["path800"] = oracles.path_graph(800)  # lambda_3 - lambda_2 = 4.6e-5
+    graphs["spider60"] = oracles.spider_graph((60, 60, 61))  # 1.5e-5
+    return graphs
+
+
+FIEDLER_GRAPHS = fiedler_graphs()
+# the solves cannot pick the vector: there is no lambda_3, lambda_2 repeats
+# (lambda_3 - lambda_2 within rounding), or, on the last spider,
+# lambda_3 - lambda_2 = 3.2e-6 is too small for their bound
+DEGENERATE_FIEDLER = {
+    "K2": oracles.complete_graph(2),
+    **{f"K{n}": oracles.complete_graph(n) for n in (3, 4, 6, 9)},
+    **{f"C{n}": oracles.cycle_graph(n) for n in (4, 5, 7, 12)},
+    "star": star_graph(6),
+    "wheel": wheel_graph(8),
+    "spider30": oracles.spider_graph((30, 30, 30)),
+    "spider100": oracles.spider_graph((100, 100, 101)),
+}
+
+
+def record_solves(monkeypatch) -> list:
+    """The result of every _fiedler_by_solves call (None: the eigh fallback)."""
+    results = []
+    solve = centrality._fiedler_by_solves
+
+    def recorded(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(centrality, "_fiedler_by_solves", recorded)
+    return results
+
+
+@pytest.mark.parametrize("name", FIEDLER_GRAPHS)
+def test_fiedler_solves_match_eigh(monkeypatch, name):
+    """The solved vector is eigh's to 1e-10, with its sign and a residual
+    below tol; a graph that falls back gets eigh's vector bitwise."""
+    graph = FIEDLER_GRAPHS[name]
+    solved = record_solves(monkeypatch)
+    got = fiedler_vector(graph)
+    want = oracles.fiedler_vector_by_eigh(graph)
+    if solved[0] is None:
+        assert got.tobytes() == want.tobytes()
+        return
+    assert np.max(np.abs(got - want)) <= 1e-10
+    lead = int(np.argmax(np.abs(want) > 1e-8))
+    assert got[lead] > 0 and want[lead] > 0
+    lap = laplacian_matrix(graph)
+    lam2 = float(np.linalg.eigvalsh(lap)[1])
+    assert np.max(np.abs(lap @ got - lam2 * got)) < 1e-8
+    assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+
+
+def test_fiedler_sample_takes_the_solves(monkeypatch):
+    solved = record_solves(monkeypatch)
+    for graph in FIEDLER_GRAPHS.values():
+        fiedler_vector(graph)
+    taken = dict(zip(FIEDLER_GRAPHS, (v is not None for v in solved)))
+    assert all(taken[name] for name in (*dataset_names(), "holme-kim300", "holme-kim600"))
+    assert sum(taken.values()) >= len(taken) - 2
+
+
+@pytest.mark.parametrize("name", DEGENERATE_FIEDLER)
+def test_fiedler_degenerate_graphs_take_the_eigh_fallback(monkeypatch, name):
+    graph = DEGENERATE_FIEDLER[name]
+    solved = record_solves(monkeypatch)
+    got = fiedler_vector(graph)
+    assert len(solved) == 1 and solved[0] is None
+    assert got.tobytes() == oracles.fiedler_vector_by_eigh(graph).tobytes()
+
+
+def test_laplacian_matrix_matches_dense_oracle():
+    for graph in (*FIEDLER_GRAPHS.values(), *DEGENERATE_FIEDLER.values()):
+        a = adjacency_of(graph)
+        want = np.diag(a.sum(axis=1)) - a
+        assert laplacian_matrix(graph).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("graph", GRAPHS + MULTI_COMPONENT, ids=lambda g: f"n{g.n}m{g.m}")
