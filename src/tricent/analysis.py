@@ -21,8 +21,13 @@ import numpy as np
 
 from .centrality import fiedler_vector
 from .graph import Graph, TriangleSet, remove_vertices
-from .report import CentralityReport, competition_rank, label_sort_key
-from .tensor import MAX_VERTICES
+from .report import (
+    VERTEX_TIE_TOL,
+    CentralityReport,
+    competition_rank,
+    label_positions,
+    label_sort_key,
+)
 
 TRIANGLE_TIE_TOL = 1e-12
 
@@ -83,16 +88,11 @@ def _rank_triangles(
     tie_tol: float,
 ) -> TriangleRanking:
     """Rank triangles by descending score, ties by their label-sorted triples."""
-    n = graph.n
-    pos = graph._label_positions
-    by_pos = np.empty(n, dtype=object)
+    pos = label_positions(graph.labels)
+    by_pos = np.empty(graph.n, dtype=object)
     by_pos[pos] = graph.labels
     corners = np.sort(pos[triangles.triangle_array], axis=1)
-    if n <= MAX_VERTICES:  # n**3 < 2**63: one int64 key per label-sorted triple
-        tiebreak = ((corners[:, 0] * n + corners[:, 1]) * n + corners[:, 2],)
-    else:
-        tiebreak = tuple(corners.T)
-    order, _, rank = competition_rank(scores, tiebreak, tie_tol)
+    order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
     triples = zip(*by_pos[corners[order]].T.tolist())  # built from columns: no list per row
     columns = (triples, scores[order].tolist(), rank.tolist())
     # tuple.__new__ is what RankedTriangle._make calls, minus a call and a length check
@@ -182,9 +182,6 @@ def removal_experiment(graph: Graph, remove: Sequence[str]) -> RemovalResult:
     )
 
 
-RANK_TIE_TOL = 1e-9
-
-
 # Rows of a Kendall block hold at most this many pairwise differences, so each
 # float64 temporary stays within 512 KiB.
 _PAIR_BLOCK = 1 << 16
@@ -197,19 +194,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _doubled_average_ranks(values: np.ndarray, tol: float) -> np.ndarray:
-    """Twice the ascending average ranks; values within tol (chained) share a rank.
+    """Twice the descending average ranks; values within tol (chained) share a rank.
 
-    A group of k values starting at 1-based position p has average rank
+    A group of k values with competition rank p has average rank
     p + (k - 1)/2, so doubling keeps every rank an integer: 2p + k - 1.
     """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new_group = np.ones(len(values), dtype=bool)
-    np.greater(ordered[1:] - ordered[:-1], tol, out=new_group[1:])
-    starts = np.flatnonzero(new_group)
-    sizes = np.diff(starts, append=len(values))
+    order, group, rank = competition_rank(values, (), tol)
     ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = np.repeat(2 * starts + sizes + 1, sizes)
+    ranks[order] = 2 * rank + np.bincount(group)[group] - 1
     return ranks
 
 
@@ -224,6 +216,8 @@ def _spearman(a: np.ndarray, b: np.ndarray, tol: float) -> float:
 
     The ranks are doubled, which scales num, da and db by 4: the Fraction
     cancels it and the float quotient is unchanged by power-of-two scaling.
+    They are descending ranks, 2(n + 1) minus the ascending ones, and that
+    shift and flip on both sides leaves num, da and db the same integers.
     """
     n = len(a)
     if n > _MAX_RANKED:
@@ -287,21 +281,21 @@ def rank_correlation(
     b: CentralityReport | np.ndarray,
     method: str = "spearman",
     *,
-    tie_tol: float = RANK_TIE_TOL,
+    tie_tol: float = VERTEX_TIE_TOL,
 ) -> float:
     """Correlation between two score vectors over the same vertex set.
 
     pearson correlates the raw scores; spearman and kendall correlate the
     rankings, tie-corrected (average ranks / tau-b) with ties detected up to
     tie_tol. The two detect ties differently, on purpose: spearman sorts the
-    scores and chains neighbours within tie_tol into one tie group, as vertex
-    rankings do, while kendall tests each pair on its own, so a pair ties
-    only when its two scores lie within tie_tol. Rank arithmetic is exact,
-    so two measures that induce the same ranking correlate at exactly 1.0,
-    and swapping a and b gives the same value. Reports are aligned by label.
-    A constant vector has no defined correlation and raises, as do NaN or
-    infinite scores, a negative or NaN tie_tol and, for spearman, more than
-    2**30 scores.
+    scores and chains neighbours within tie_tol into one tie group, by the
+    competition_rank that vertex rankings use, while kendall tests each pair
+    on its own, so a pair ties only when its two scores lie within tie_tol.
+    Rank arithmetic is exact, so two measures that induce the same ranking
+    correlate at exactly 1.0, and swapping a and b gives the same value.
+    Reports are aligned by label. A constant vector has no defined
+    correlation and raises, as do NaN or infinite scores, a negative or NaN
+    tie_tol and, for spearman, more than 2**30 scores.
     """
     if not tie_tol >= 0:
         raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")

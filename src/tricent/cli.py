@@ -41,7 +41,7 @@ from .graph import (
     enumerate_triangles,
     load_edge_list,
 )
-from .report import RankedVertex, label_order
+from .report import RankedVertex, label_positions
 from .svgplot import scatter_matrix, sweep_plot
 from .tensor import (
     DEFAULT_TOL,
@@ -281,7 +281,7 @@ def cmd_sweep(args) -> int:
         _check_alpha(alpha)
     reports = [_compute_measure("atec", a, graph, tol, args.per_component) for a in alphas]
 
-    order = label_order(graph.labels)
+    order = np.argsort(label_positions(graph.labels)).tolist()
     matrix = np.stack([r.scores for r in reports], axis=1)  # vertices x alphas
 
     if args.top:
@@ -361,7 +361,7 @@ def cmd_connectivity(args) -> int:
 def cmd_stats(args) -> int:
     graph, digest = _load(args)
     stats = degree_and_triangle_stats(graph, enumerate_triangles(graph))
-    order = label_order(graph.labels)
+    order = np.argsort(label_positions(graph.labels)).tolist()
 
     def summary(values) -> dict:
         arr = sorted(values)

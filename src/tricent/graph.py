@@ -10,9 +10,9 @@ finds its connected components and lists its triangles on first use and
 keeps both: every connectivity check reads that one partition, and every
 enumerate_triangles call on it returns that one TriangleSet. It keeps, on
 first use too, its neighbours in CSR form (for betweenness), the alpha-free
-entry layout of its alpha-triangle operator (tensor), the place of each label
-in label order (for triangle rankings) and, when disconnected, the subgraph
-of each component, so an alpha sweep does the per-graph work once.
+entry layout of its alpha-triangle operator (tensor) and, when disconnected,
+the subgraph of each component, so an alpha sweep does the per-graph work
+once.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:
@@ -38,8 +38,6 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
-
-from .report import label_positions
 
 
 class EdgeListParseError(ValueError):
@@ -119,14 +117,6 @@ class Graph:
     def _triangles(self) -> "TriangleSet":
         """The graph's triangles, listed on first use (_list_triangles)."""
         return _list_triangles(self)
-
-    @cached_property
-    def _label_positions(self) -> np.ndarray:
-        """label_positions(labels) as a read-only array, sorted on first use:
-        the place of each vertex's label in label order."""
-        pos = label_positions(self.labels)
-        pos.setflags(write=False)
-        return pos
 
     @cached_property
     def _component_subgraphs(self) -> tuple["Graph", ...]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
@@ -20,15 +20,17 @@ def label_sort_key(label: str):
         return (1, 0, label)
 
 
-def label_order(labels: Sequence[str]) -> list[int]:
-    """Indices of labels in ascending label_sort_key order."""
-    return sorted(range(len(labels)), key=lambda i: label_sort_key(labels[i]))
+@lru_cache(maxsize=1)
+def label_positions(labels: tuple[str, ...]) -> np.ndarray:
+    """pos[i] = place of labels[i] in ascending label_sort_key order, read-only.
 
-
-def label_positions(labels: Sequence[str]) -> np.ndarray:
-    """pos[i] = place of labels[i] in label_order(labels), its inverse."""
+    The one label order of every ranking: the positions of the last labels
+    tuple are kept, so all the rankings of one graph sort its labels once.
+    """
+    order = sorted(range(len(labels)), key=lambda i: label_sort_key(labels[i]))
     pos = np.empty(len(labels), dtype=np.intp)
-    pos[label_order(labels)] = np.arange(len(labels))
+    pos[order] = np.arange(len(labels))
+    pos.setflags(write=False)
     return pos
 
 
@@ -50,9 +52,13 @@ def competition_rank(
     new_group = np.ones(len(order), dtype=bool)
     np.greater(ordered[:-1] - ordered[1:], tie_tol, out=new_group[1:])
     group = np.cumsum(new_group) - 1
-    rank = np.flatnonzero(new_group)[group] + 1
-    if tiebreak:  # group is nondecreasing, so this reorders within groups only
-        order = order[np.lexsort((*(key[order] for key in reversed(tiebreak)), group))]
+    starts = np.flatnonzero(new_group)
+    rank = starts[group] + 1
+    if tiebreak:  # only groups of two or more are reordered; group is nondecreasing
+        tied = np.flatnonzero(np.diff(starts, append=len(order))[group] > 1)
+        members = order[tied]
+        keys = (*(key[members] for key in reversed(tiebreak)), group[tied])
+        order[tied] = members[np.lexsort(keys)]
     return order, group, rank
 
 
@@ -123,17 +129,8 @@ def rank_scores(
     scores: np.ndarray,
     tie_tol: float = VERTEX_TIE_TOL,
 ) -> tuple[RankedVertex, ...]:
-    """Competition-rank scores descending; each tie group sorted by label.
-
-    Only the members of groups of two or more have their labels read.
-    """
-    order, group, rank = competition_rank(scores, (), tie_tol)
-    tied = np.flatnonzero(np.bincount(group)[group] > 1)
-    members = sorted(
-        zip(group[tied].tolist(), order[tied].tolist()),
-        key=lambda gi: (gi[0], label_sort_key(labels[gi[1]])),
-    )
-    order[tied] = [i for _, i in members]
+    """Competition-rank scores descending; each tie group sorted by label."""
+    order, group, rank = competition_rank(scores, (label_positions(tuple(labels)),), tie_tol)
     order = order.tolist()
     columns = ([labels[i] for i in order], scores[order].tolist(), rank.tolist(), group.tolist())
     # tuple.__new__ is what RankedVertex._make calls, minus a call and a length check
@@ -149,6 +146,11 @@ def make_report(
     meta: Mapping[str, object] | None = None,
     tie_tol: float = VERTEX_TIE_TOL,
 ) -> CentralityReport:
+    """A CentralityReport of scores[i] for labels[i], ranked by rank_scores.
+
+    params and meta are copied into plain dicts; scores become a float
+    array, and a length other than len(labels) raises ValueError.
+    """
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(labels),):
         raise ValueError("scores and labels differ in length")

@@ -23,9 +23,11 @@ from tricent import (
     triangle_importance,
 )
 from tricent import analysis
+from tricent import report as report_module
 from tricent.analysis import TRIANGLE_TIE_TOL
 from tricent.report import label_sort_key
 
+import oracles
 from oracles import complete_graph, random_connected_graph, relabeled
 
 
@@ -97,15 +99,21 @@ class TestTriangleImportance:
     def test_rankings_survive_a_label_shuffle(self, monkeypatch):
         """paper-g14 rebuilt with its edges shuffled, so its vertices get other
         ids, ranks its triangles the same under both indices; each graph
-        sorts its labels once, however many rankings it makes."""
-        sorted_labels, sort = [], tricent.graph.label_positions
+        sorts its labels once, however many rankings (its atec vertex report
+        included) it makes."""
+        sorted_labels, cached = [], report_module.label_positions
+        cached.cache_clear()
 
         def counted(labels):
-            sorted_labels.append(labels)
-            return sort(labels)
+            misses = cached.cache_info().misses
+            pos = cached(labels)
+            if cached.cache_info().misses > misses:
+                sorted_labels.append(labels)
+            return pos
 
-        monkeypatch.setattr(tricent.graph, "label_positions", counted)
-        base = load_dataset("paper-g14")  # a fresh Graph: nothing cached yet
+        for module in (report_module, analysis):  # every module that ranks by label
+            monkeypatch.setattr(module, "label_positions", counted)
+        base = load_dataset("paper-g14")
         pairs = [(base.labels[u], base.labels[v]) for u, v in base.edges]
         random.Random(70001).shuffle(pairs)
         shuffled = Graph.from_edge_labels(pairs)
@@ -151,21 +159,27 @@ class TestTriangleImportance:
         with pytest.raises(ValueError, match="does not match"):
             triangle_importance(k3, enumerate_triangles(k3), np.ones(5))
 
-    def test_packed_tiebreak_key_orders_like_the_corner_columns(
-        self, monkeypatch, celegans, celegans_triangles
-    ):
-        """Tie groups ordered by one packed int64 key per label-sorted triple
-        come out as when ordered by its three columns (the path past
-        MAX_VERTICES, where the key could wrap)."""
+    def test_tie_groups_order_like_the_loop_ranking(self, celegans, celegans_triangles):
+        """Large tie groups (integer degree sums) and the cycle index, ordered
+        by the three corner columns of each label-sorted triple, come out as
+        the loop ranking's sort of the label triples."""
         degrees = degree_centrality(celegans).scores  # integer sums: large tie groups
-        rankings = [
-            triangle_importance(celegans, celegans_triangles, degrees),
-            cycle_index_fiedler(celegans, celegans_triangles),
-        ]
-        assert len({e.rank for e in rankings[0].entries}) < len(rankings[0]) / 5
-        monkeypatch.setattr(analysis, "MAX_VERTICES", 0)
-        assert triangle_importance(celegans, celegans_triangles, degrees).entries == rankings[0].entries
-        assert cycle_index_fiedler(celegans, celegans_triangles).entries == rankings[1].entries
+        tri = celegans_triangles.triangle_array
+        sums = degrees[tri[:, 0]] + degrees[tri[:, 1]] + degrees[tri[:, 2]]
+        got = triangle_importance(celegans, celegans_triangles, degrees)
+        assert len({e.rank for e in got.entries}) < len(got) / 5
+        want = oracles.rank_triangles(
+            "triangle-importance", {}, celegans, celegans_triangles, sums, TRIANGLE_TIE_TOL
+        )
+        assert got.entries == want.entries
+        got = cycle_index_fiedler(celegans, celegans_triangles)
+        x = fiedler_vector(celegans)
+        p, q, r = x[tri[:, 0]], x[tri[:, 1]], x[tri[:, 2]]
+        cycle = (p - q) ** 2 + (p - r) ** 2 + (q - r) ** 2
+        want = oracles.rank_triangles(
+            "cycle-index", {}, celegans, celegans_triangles, cycle, TRIANGLE_TIE_TOL
+        )
+        assert got.entries == want.entries
 
 
 class TestCycleIndexFiedler:

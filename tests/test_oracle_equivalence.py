@@ -51,7 +51,7 @@ from tricent import (
     verify_weak_irreducibility,
 )
 from tricent import analysis, centrality, graph as graph_module, tensor
-from tricent.analysis import RANK_TIE_TOL, TRIANGLE_TIE_TOL, _rank_triangles
+from tricent.analysis import TRIANGLE_TIE_TOL, _rank_triangles
 from tricent.graph import _induced, _list_triangles
 from tricent.report import VERTEX_TIE_TOL
 from tricent.tensor import MAX_VERTICES
@@ -491,7 +491,7 @@ def test_listing_chunks_split_wedges_anywhere(monkeypatch, chunk):
 METHODS = ("kendall", "spearman")
 
 
-def oracle_correlation(a, b, method, tie_tol=RANK_TIE_TOL):
+def oracle_correlation(a, b, method, tie_tol=VERTEX_TIE_TOL):
     if method == "kendall":
         return kendall_tau_b(a, b, tie_tol)
     return pearson_of_ranks(average_ranks(a, tie_tol), average_ranks(b, tie_tol))
@@ -504,7 +504,7 @@ def correlation_or_error(compute):
         return str(exc)
 
 
-def assert_correlation_matches_oracle(a, b, tie_tol=RANK_TIE_TOL):
+def assert_correlation_matches_oracle(a, b, tie_tol=VERTEX_TIE_TOL):
     """Library == oracle for both methods, error message included, and symmetric."""
     for method in METHODS:
         want = correlation_or_error(lambda: oracle_correlation(a, b, method, tie_tol))
@@ -522,8 +522,8 @@ def correlation_cases() -> list[tuple[str, np.ndarray, np.ndarray, float]]:
     """
     rng = random.Random(20251018)
     cases = [
-        ("n2-agree", np.array([1.0, 2.0]), np.array([3.0, 5.0]), RANK_TIE_TOL),
-        ("n2-reverse", np.array([1.0, 2.0]), np.array([5.0, 3.0]), RANK_TIE_TOL),
+        ("n2-agree", np.array([1.0, 2.0]), np.array([3.0, 5.0]), VERTEX_TIE_TOL),
+        ("n2-reverse", np.array([1.0, 2.0]), np.array([5.0, 3.0]), VERTEX_TIE_TOL),
     ]
     for k in range(6):
         n = rng.randrange(3, 60)
@@ -531,15 +531,15 @@ def correlation_cases() -> list[tuple[str, np.ndarray, np.ndarray, float]]:
         wide = lambda: np.array([float(rng.randrange(50)) for _ in range(n)])
         uniform = lambda: np.array([rng.random() for _ in range(n)])
         cases += [
-            (f"exact-ties-{k}", few(), few(), RANK_TIE_TOL),
-            (f"integers-{k}", wide(), wide(), RANK_TIE_TOL),
-            (f"ties-vs-uniform-{k}", few(), uniform(), RANK_TIE_TOL),
-            (f"uniform-{k}", uniform(), uniform(), RANK_TIE_TOL),
+            (f"exact-ties-{k}", few(), few(), VERTEX_TIE_TOL),
+            (f"integers-{k}", wide(), wide(), VERTEX_TIE_TOL),
+            (f"ties-vs-uniform-{k}", few(), uniform(), VERTEX_TIE_TOL),
+            (f"uniform-{k}", uniform(), uniform(), VERTEX_TIE_TOL),
             (
                 f"chained-{k}",
-                chained_scores(rng, n, RANK_TIE_TOL),
-                chained_scores(rng, n, RANK_TIE_TOL),
-                RANK_TIE_TOL,
+                chained_scores(rng, n, VERTEX_TIE_TOL),
+                chained_scores(rng, n, VERTEX_TIE_TOL),
+                VERTEX_TIE_TOL,
             ),
             (f"chained-wide-tol-{k}", chained_scores(rng, n, 1e-3), uniform(), 1e-3),
             # differences of exactly tie_tol tie; with tie_tol 0 only equal scores do
@@ -559,8 +559,28 @@ def test_rank_correlation_matches_loop_oracles(a, b, tie_tol):
     assert_correlation_matches_oracle(a, b, tie_tol)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_correlations_are_bitwise_unchanged_by_negating_both(seed):
+    """Negating both vectors reverses both rankings: spearman and kendall
+    return the same bits, on chained near-ties and on exact ties."""
+    rng = random.Random(90001 + seed)
+    n = rng.randrange(5, 80)
+    few = lambda: np.array([float(rng.randrange(4)) for _ in range(n)])
+    chained = lambda tol: chained_scores(rng, n, tol)
+    cases = [
+        (chained(VERTEX_TIE_TOL), chained(VERTEX_TIE_TOL), VERTEX_TIE_TOL),
+        (few(), few(), VERTEX_TIE_TOL),
+        (few(), chained(1e-3), 1e-3),
+    ]
+    for a, b, tie_tol in cases:
+        for method in METHODS:
+            want = rank_correlation(a, b, method, tie_tol=tie_tol)
+            got = rank_correlation(-a, -b, method, tie_tol=tie_tol)
+            assert got.hex() == want.hex(), (method, got, want)
+
+
 def test_degenerate_ties_raise_like_the_oracles():
-    tol = RANK_TIE_TOL
+    tol = VERTEX_TIE_TOL
     within = np.array([1.0, 1.0 + 0.5 * tol])  # not constant, but one tie
     chain = np.array([1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol])  # chained, not pairwise
     for a, b in ((within, np.array([1.0, 2.0])), (chain, np.array([1.0, 2.0, 3.0]))):
@@ -579,7 +599,7 @@ def test_kendall_at_the_block_boundary(offset):
     n = math.isqrt(analysis._PAIR_BLOCK) + offset
     rng = random.Random(n)
     a = np.array([float(rng.randrange(n // 4)) for _ in range(n)])
-    b = chained_scores(rng, n, RANK_TIE_TOL)
+    b = chained_scores(rng, n, VERTEX_TIE_TOL)
     assert_correlation_matches_oracle(a, b)
 
 
