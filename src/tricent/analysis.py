@@ -24,6 +24,7 @@ from .graph import Graph, TriangleSet, remove_vertices
 from .report import (
     VERTEX_TIE_TOL,
     CentralityReport,
+    _collector_paused,
     competition_rank,
     label_positions,
     label_sort_key,
@@ -96,7 +97,8 @@ def _rank_triangles(
     triples = zip(*by_pos[corners[order]].T.tolist())  # built from columns: no list per row
     columns = (triples, scores[order].tolist(), rank.tolist())
     # tuple.__new__ is what RankedTriangle._make calls, minus a call and a length check
-    entries = tuple(map(tuple.__new__, repeat(RankedTriangle), zip(*columns)))
+    with _collector_paused:  # the triples are built inside, too
+        entries = tuple(map(tuple.__new__, repeat(RankedTriangle), zip(*columns)))
     return TriangleRanking(index=index, params=dict(params), entries=entries)
 
 

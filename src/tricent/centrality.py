@@ -158,7 +158,20 @@ def _brandes_by_levels(graph: Graph) -> np.ndarray | None:
     the loop's stack-pop order, which is the order every dependency sum is
     accumulated in. A level's sums all start from zero, so np.bincount adds
     them as the loop does, and every score is bitwise the loop's.
+
+    A disconnected graph runs one component at a time, so each level's
+    direction weighs only the arcs its sources can reach. Its induced
+    subgraph keeps the ids' order, and sources elsewhere add exact zeros,
+    so the scores are still the loop's.
     """
+    if len(graph._components) > 1:
+        bc = np.zeros(graph.n)
+        for comp, sub in zip(graph._components, graph._component_subgraphs):
+            scores = _brandes_by_levels(sub)
+            if scores is None:
+                return None
+            bc[comp] = scores
+        return bc
     n = graph.n
     arcs = 2 * graph.m
     block = max(1, min(n, _BLOCK_SLOTS // (n + arcs)))

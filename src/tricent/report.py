@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -10,6 +12,41 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 VERTEX_TIE_TOL = 1e-9
+
+
+class _CollectorPause:
+    """Context manager: no automatic garbage collection while ranking rows are built.
+
+    CPython tracks a NamedTuple row for good, so with the collector on a
+    build of n rows runs about n/700 young collections, and the older ones
+    they trigger walk every live row; paused, the build ends with one young
+    collection. The collector's state is process-wide, so the pause is too:
+    while any thread builds rows, no allocation starts a collection. A lock
+    and a depth count restore the prior state: the first thread in records
+    gc.isenabled() and disables, the last one out re-enables only if the
+    first saw it on. Without them, two threads can leave it off for good.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
 
 
 def label_sort_key(label: str):
@@ -134,7 +171,8 @@ def rank_scores(
     order = order.tolist()
     columns = ([labels[i] for i in order], scores[order].tolist(), rank.tolist(), group.tolist())
     # tuple.__new__ is what RankedVertex._make calls, minus a call and a length check
-    return tuple(map(tuple.__new__, repeat(RankedVertex), zip(*columns)))
+    with _collector_paused:
+        return tuple(map(tuple.__new__, repeat(RankedVertex), zip(*columns)))
 
 
 def make_report(

@@ -2,6 +2,7 @@
 imports numpy: LAPACK's eigh gives other bits under other thread counts,
 and tests/cli_record.json was made with the same pin (cli_grid.BLAS_ENV)."""
 
+import gc
 import os
 
 import cli_grid
@@ -11,6 +12,16 @@ os.environ.update(cli_grid.BLAS_ENV)
 import pytest  # noqa: E402
 
 from tricent import Graph, enumerate_triangles, load_dataset  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    """Fail a test that leaves the garbage collector on or off other than it
+    found it: building rankings pauses it process-wide, and a pause that
+    leaks would change every later test's memory behaviour."""
+    enabled = gc.isenabled()
+    yield
+    assert gc.isenabled() is enabled, "the test changed gc.isenabled()"
 
 
 @pytest.fixture(scope="session")

@@ -1164,13 +1164,23 @@ def test_betweenness_falls_back_to_the_loop_at_2_53_paths(monkeypatch, k, fast):
     exact = betweenness_centrality(graph, exact=True).scores
     assert calls[-1:] == [True]
     assert np.allclose(got, exact, rtol=1e-12, atol=0.0)
+    # beside a triangle, the chain's component sends the whole graph to the loop
+    pairs = [(graph.labels[u], graph.labels[v]) for u, v in graph.edges]
+    union = Graph.from_edge_labels(pairs + [("t0", "t1"), ("t1", "t2"), ("t0", "t2")])
+    calls.clear()
+    got = betweenness_centrality(union).scores
+    assert calls == ([] if fast else [False])
+    assert got.tobytes() == betweenness_by_loop(union).tobytes()
 
 
 def direction_graphs() -> dict[str, Graph]:
     """Graphs whose breadth-first levels go each way: a star's or a wheel's
     hub level is cheaper bottom-up, a path's levels top-down until its last
-    few; dense random graphs, bushy trees, and a disjoint union of a dense
-    graph, hubs, a path and an isolated vertex mix both."""
+    few; dense random graphs, bushy trees, and disjoint unions of hubs, a
+    path and a random graph (dense, with an isolated vertex, or sparse) mix
+    both. Each component of a union runs on its own, so its hubs go
+    bottom-up even where the arcs of the other components would outweigh
+    their levels."""
     rng = random.Random(61)
     graphs = {
         "star": star_graph(60),
@@ -1180,12 +1190,17 @@ def direction_graphs() -> dict[str, Graph]:
     }
     for i, (n, p) in enumerate(((30, 0.5), (60, 0.7), (90, 0.9))):
         graphs[f"dense{i}"] = random_graph(rng, n, p)
-    parts = [random_graph(rng, 60, 0.7), star_graph(20), wheel_graph(15), oracles.path_graph(40)]
-    lines = [f"c{k}:{g.labels[u]} c{k}:{g.labels[v]}" for k, g in enumerate(parts) for u, v in g.edges]
-    rng.shuffle(lines)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        graphs["disconnected"] = load_edge_list(io.StringIO("\n".join([*lines, "x x"])), dedupe=True)
+
+    def disjoint_union(parts: list[Graph], *extra_lines: str) -> Graph:
+        lines = [f"c{k}:{g.labels[u]} c{k}:{g.labels[v]}" for k, g in enumerate(parts) for u, v in g.edges]
+        rng.shuffle(lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return load_edge_list(io.StringIO("\n".join([*lines, *extra_lines])), dedupe=True)
+
+    hubs_and_path = [star_graph(20), wheel_graph(15), oracles.path_graph(40)]
+    graphs["disconnected"] = disjoint_union([random_graph(rng, 60, 0.7), *hubs_and_path], "x x")
+    graphs["disconnected-sparse"] = disjoint_union([*hubs_and_path, random_graph(rng, 25, 0.2)])
     return graphs
 
 
@@ -1228,9 +1243,10 @@ def test_direction_graphs_go_the_expected_ways(monkeypatch):
     assert all(seen[name]["bottom-up"] > 0 for name in ("star", "wheel"))
     # a path's last levels are cheaper bottom-up (fewer unreached arcs), no others
     assert seen["path"]["top-down"] > 50 * seen["path"]["bottom-up"] > 0
-    for name in ("tree", "dense0", "dense1", "dense2", "disconnected"):
+    for name in ("tree", "dense0", "dense1", "dense2", "disconnected", "disconnected-sparse"):
         assert seen[name]["top-down"] > 0 and seen[name]["bottom-up"] > 0
     assert len(connected_components(DIRECTION_GRAPHS["disconnected"])) == 5
+    assert len(connected_components(DIRECTION_GRAPHS["disconnected-sparse"])) == 4
 
 
 def test_bottom_up_levels_still_fall_back_at_2_53_paths(monkeypatch):

@@ -1,10 +1,15 @@
+import gc
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from tricent import atec, make_report
-from tricent.report import label_sort_key
+from tricent import atec, enumerate_triangles, make_report, triangle_importance
+from tricent.report import label_sort_key, rank_scores
 
-from oracles import relabeled
+from oracles import holme_kim_graph, relabeled
 
 
 def test_ranking_is_permutation_of_vertices():
@@ -126,3 +131,77 @@ def test_ranking_rows_equal_rows_built_by_make(name):
             assert type(row) is cls and row._fields == cls._fields
             assert tuple(getattr(row, f) for f in cls._fields) == tuple(made)
             assert row == made and repr(row) == repr(made)
+
+
+def seeded_scores(n: int, seed: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """n shuffled labels and scores on a coarse grid, so most rows tie."""
+    rng = np.random.default_rng(seed)
+    return tuple(f"v{i}" for i in rng.permutation(n)), rng.integers(0, 40, n) / 9.0
+
+
+def test_rank_scores_from_many_threads_keeps_the_collector_state():
+    """Eight threads (more than the cores) rank at once, with a thread switch
+    forced every microsecond. Row building pauses the process-wide collector,
+    and without the pause's lock and depth count two threads can leave it
+    off for good: T1 reads gc.isenabled() as True and disables, T2 reads
+    False, T1 re-enables, T2's own disable lands after that, and T2, having
+    seen it off, never turns it back on. Every ranking must equal the
+    single-thread one, and the collector must end as it started, on in one
+    round and off in the other."""
+    labels, scores = seeded_scores(2000, 18)
+    expected = rank_scores(labels, scores)
+    done = []
+
+    def work():
+        done.append(sum(rank_scores(labels, scores) == expected for _ in range(200)))
+
+    was_enabled, interval = gc.isenabled(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            done.clear()
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert done == [200] * 8
+            assert gc.isenabled() is enabled
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable() if was_enabled else gc.disable()
+
+
+def collections_during(call) -> int:
+    """How many garbage collections start while call() runs."""
+    starts = []
+
+    def count(phase, info):
+        starts.append(phase == "start")
+
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return sum(starts)
+
+
+def test_rank_scores_runs_no_collection_per_700_rows():
+    """Built with the collector on, 20 000 rows start about 28 collections."""
+    labels, scores = seeded_scores(20_000, 19)
+    rank_scores(labels, scores)  # sorts the labels once (label_positions keeps them)
+    assert collections_during(lambda: rank_scores(labels, scores)) <= 2
+
+
+def test_triangle_importance_runs_no_collection_per_700_rows():
+    """Built with the collector on, a row and its label triple for each of
+    these 8 438 triangles start about 21 collections."""
+    graph = holme_kim_graph(random.Random(18), 4000)
+    triangles = enumerate_triangles(graph)
+    assert len(triangles) >= 7000
+    scores = np.random.default_rng(18).random(graph.n)
+    triangle_importance(graph, triangles, scores)
+    assert collections_during(lambda: triangle_importance(graph, triangles, scores)) <= 2
