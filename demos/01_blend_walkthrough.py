@@ -20,8 +20,9 @@ from tricent import (
 
 g = load_dataset("paper-g14")
 tris = enumerate_triangles(g)
+triangles = tris.triangle_array.tolist()
 print(f"graph: {g.n} vertices, {g.m} edges, triangles: "
-      f"{[tuple(g.labels[v] for v in t) for t in tris.triangles]}")
+      f"{[tuple(g.labels[v] for v in t) for t in triangles]}")
 
 groups = [("1,5", "1"), ("2,3,6,7", "2"), ("4", "4"), ("8", "8"), ("9..14", "9")]
 
@@ -58,9 +59,10 @@ rep = atec(g, 0.6)
 x = rep.scores
 rho = rep.meta["rho"]
 i = g.id_of("4")
-edge_part = sum(x[j] ** 2 for j in g.adjacency[i])
+neighbours = sorted(u + v - i for u, v in g.edge_array.tolist() if i in (u, v))
+edge_part = sum(x[j] ** 2 for j in neighbours)
 # the (j, k), j < k, of each triangle {i, j, k}
-pairs = sorted(tuple(v for v in tri if v != i) for tri in tris.triangles if i in tri)
+pairs = sorted(tuple(v for v in tri if v != i) for tri in triangles if i in tri)
 tri_part = sum(x[j] * x[k] for j, k in pairs)
 print("the eigenvalue equation at vertex 4 (alpha = 0.6):")
 print(f"  rho * x_4^2          = {rho * x[i] ** 2:.6f}")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .graph import Graph, TriangleSet, remove_vertices
 from .report import (
     VERTEX_TIE_TOL,
     CentralityReport,
-    _collector_paused,
+    _build_rows,
     competition_rank,
     label_positions,
     label_sort_key,
@@ -95,10 +94,7 @@ def _rank_triangles(
     corners = np.sort(pos[triangles.triangle_array], axis=1)
     order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
     triples = zip(*by_pos[corners[order]].T.tolist())  # built from columns: no list per row
-    columns = (triples, scores[order].tolist(), rank.tolist())
-    # tuple.__new__ is what RankedTriangle._make calls, minus a call and a length check
-    with _collector_paused:  # the triples are built inside, too
-        entries = tuple(map(tuple.__new__, repeat(RankedTriangle), zip(*columns)))
+    entries = _build_rows(RankedTriangle, (triples, scores[order].tolist(), rank.tolist()))
     return TriangleRanking(index=index, params=dict(params), entries=entries)
 
 

@@ -292,6 +292,7 @@ def _bottom_up(
 def _brandes_by_loop(graph: Graph, exact: bool) -> np.ndarray:
     """Betweenness by one Brandes pass per source over Python lists."""
     n = graph.n
+    starts, neighbors = (a.tolist() for a in graph._csr)
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     bc = [zero] * n
@@ -306,7 +307,7 @@ def _brandes_by_loop(graph: Graph, exact: bool) -> np.ndarray:
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in graph.adjacency[v]:
+            for w in neighbors[starts[v] : starts[v + 1]]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)

@@ -4,15 +4,15 @@ Vertices carry arbitrary string labels externally and contiguous 0-based ids
 internally. Graph and TriangleSet instances are immutable once built, so they
 are safe to share across threads. Each stores one read-only int64 index
 array (Graph.edge_array, TriangleSet.triangle_array), and every library path
-reads those arrays; the tuple forms (Graph.adjacency, Graph.edges,
-TriangleSet.triangles) are built only when a caller reads them. A Graph
-finds its connected components and lists its triangles on first use and
-keeps both: every connectivity check reads that one partition, and every
+reads those arrays or arrays derived from them. The one tuple form left,
+Graph.edges, is built only when a caller reads it. A Graph finds its
+connected components and lists its triangles on first use and keeps both:
+every connectivity check reads that one partition, and every
 enumerate_triangles call on it returns that one TriangleSet. It keeps, on
-first use too, its neighbours in CSR form (for betweenness), the alpha-free
-entry layout of its alpha-triangle operator (tensor) and, when disconnected,
-the subgraph of each component, so an alpha sweep does the per-graph work
-once.
+first use too, its neighbours in CSR form (for betweenness and the
+irreducibility check), the alpha-free entry layout of its alpha-triangle
+operator (tensor) and, when disconnected, the subgraph of each component, so
+an alpha sweep does the per-graph work once.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:
@@ -62,8 +62,8 @@ class Graph:
 
     labels[i] is the external label of internal vertex i; edge_array holds
     every edge once as a row (i, j), i < j, rows sorted, in a read-only int64
-    array. adjacency (each vertex's neighbours, ascending) and edges (the
-    rows) are the same data as tuples of Python ints, built when first read.
+    array. edges is the same rows as tuples of Python ints, built when first
+    read; no library path reads it.
     The constructor raises GraphValidationError for repeated labels or an
     edge_array that breaks this form.
     """
@@ -96,12 +96,6 @@ class Graph:
         arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
         indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
         return indptr, arcs % n
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        indptr, indices = self._csr
-        starts, neighbors = indptr.tolist(), indices.tolist()
-        return tuple(tuple(neighbors[s:e]) for s, e in zip(starts, starts[1:]))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -307,8 +301,7 @@ class TriangleSet:
     """All 3-cliques of a graph on n vertices, canonically ordered.
 
     triangle_array holds each clique once as a row (p, q, r) with p < q < r,
-    rows sorted, in a read-only (T, 3) int64 array; triangles is the same
-    rows as tuples of Python ints, built when first read. The constructor
+    rows sorted, in a read-only (T, 3) int64 array. The constructor
     raises GraphValidationError for a triangle_array that breaks this form;
     that the rows are cliques of some graph is not checked.
     """
@@ -322,10 +315,6 @@ class TriangleSet:
 
     def __len__(self) -> int:
         return len(self.triangle_array)
-
-    @cached_property
-    def triangles(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(map(tuple, self.triangle_array.tolist()))
 
     def count_per_vertex(self) -> list[int]:
         """T(i): number of triangles containing each vertex."""

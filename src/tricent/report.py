@@ -7,7 +7,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,9 +138,6 @@ class CentralityReport:
         except KeyError:
             raise KeyError(f"no vertex labeled {label!r} in this report") from None
 
-    def scores_by_label(self) -> dict[str, float]:
-        return {lab: float(s) for lab, s in zip(self.labels, self.scores)}
-
     def top(self, k: int) -> list[str]:
         return [entry.label for entry in self.ranking[:k]]
 
@@ -170,9 +167,16 @@ def rank_scores(
     order, group, rank = competition_rank(scores, (label_positions(tuple(labels)),), tie_tol)
     order = order.tolist()
     columns = ([labels[i] for i in order], scores[order].tolist(), rank.tolist(), group.tolist())
-    # tuple.__new__ is what RankedVertex._make calls, minus a call and a length check
+    return _build_rows(RankedVertex, columns)
+
+
+def _build_rows(cls: type, columns: Sequence[Iterable]) -> tuple:
+    """One cls row per position of the columns, built with automatic garbage
+    collection paused; a column may be a lazy iterator, and it is consumed
+    inside the pause too."""
+    # tuple.__new__ is what cls._make calls, minus a call and a length check
     with _collector_paused:
-        return tuple(map(tuple.__new__, repeat(RankedVertex), zip(*columns)))
+        return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
 def make_report(

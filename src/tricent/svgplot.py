@@ -16,6 +16,10 @@ _PALETTE = (
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 
+# canvas size of a sweep plot and side of one scatter-matrix panel, in px
+_SWEEP_WIDTH, _SWEEP_HEIGHT = 640, 420
+_PANEL = 150
+
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
@@ -32,18 +36,13 @@ def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def sweep_plot(
-    alphas: Sequence[float],
-    labels: Sequence[str],
-    scores: np.ndarray,
-    *,
-    width: int = 640,
-    height: int = 420,
-) -> str:
-    """Polyline per vertex of score (y) against alpha (x).
+def sweep_plot(alphas: Sequence[float], labels: Sequence[str], scores: np.ndarray) -> str:
+    """Polyline per vertex of score (y) against alpha (x), on a
+    _SWEEP_WIDTH x _SWEEP_HEIGHT canvas.
 
     scores has shape (len(labels), len(alphas)).
     """
+    width, height = _SWEEP_WIDTH, _SWEEP_HEIGHT
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(labels), len(alphas)):
         raise ValueError("scores must be (vertices x alphas)")
@@ -97,13 +96,9 @@ def sweep_plot(
     return "\n".join(parts) + "\n"
 
 
-def scatter_matrix(
-    names: Sequence[str],
-    vectors: Sequence[np.ndarray],
-    *,
-    panel: int = 150,
-) -> str:
-    """Grid of pairwise score scatter plots, one panel per measure pair."""
+def scatter_matrix(names: Sequence[str], vectors: Sequence[np.ndarray]) -> str:
+    """Grid of pairwise score scatter plots, one _PANEL-wide panel per measure pair."""
+    panel = _PANEL
     k = len(names)
     if k != len(vectors):
         raise ValueError("names and vectors differ in length")

@@ -547,11 +547,11 @@ def verify_weak_irreducibility(op: AlphaTriangleOperator) -> IrreducibilityCheck
     neighbours scanned ascending) certifies both directions, and the two
     parent arrays are the same.
     """
-    adjacency = op.graph.adjacency
+    starts, neighbors = (a.tolist() for a in op.graph._csr)
     parent = [-1] + [-2] * (op.n - 1)
     queue = [0]
     for u in queue:  # the loop reaches what it appends
-        for w in adjacency[u]:
+        for w in neighbors[starts[u] : starts[u + 1]]:
             if parent[w] == -2:
                 parent[w] = u
                 queue.append(w)

@@ -12,6 +12,11 @@ triangle-centrality and neighbour-triangle-sum loops, the eager triangle
 incidence build and the two-digraph weak-irreducibility check are the
 reference the library versions must match exactly. record_apply records the
 iterates a solver takes, so a test can rebuild each iterate's bracket.
+
+The oracles read a graph only through its edge and triangle rows
+(Graph.edge_array, TriangleSet.triangle_array): neighbours come from a loop
+over the edge rows (neighbors_of), never from the library's CSR, so the
+paths that read that CSR are checked against something independent of it.
 """
 
 from __future__ import annotations
@@ -51,9 +56,24 @@ from tricent.report import VERTEX_TIE_TOL, label_sort_key
 from tricent.tensor import DEFAULT_MAX_ITER, DEFAULT_SHIFT, DEFAULT_TOL
 
 
+def neighbor_tuples(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Each of n vertices' neighbours under edges, gathered by a loop and sorted."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+def neighbors_of(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """The graph's neighbour tuples, ascending, from its edge rows: the
+    library's CSR (Graph._csr) is not read."""
+    return neighbor_tuples(graph.n, graph.edge_array.tolist())
+
+
 def adjacency_of(graph: Graph) -> np.ndarray:
     a = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
+    for i, j in graph.edge_array.tolist():
         a[i, j] = a[j, i] = 1.0
     return a
 
@@ -68,9 +88,10 @@ def triangle_count_by_trace(graph: Graph) -> int:
 
 
 def triangles_by_combinations(graph: Graph) -> list[tuple[int, int, int]]:
+    edges = set(map(tuple, graph.edge_array.tolist()))
     found = []
     for p, q, r in combinations(range(graph.n), 3):
-        if graph.has_edge(p, q) and graph.has_edge(p, r) and graph.has_edge(q, r):
+        if (p, q) in edges and (p, r) in edges and (q, r) in edges:
             found.append((p, q, r))
     return found
 
@@ -84,7 +105,8 @@ def triangles_by_forward_loop(graph: Graph) -> tuple[tuple[int, int, int], ...]:
     independent of processing order.
     """
     n = graph.n
-    order = sorted(range(n), key=lambda v: (-len(graph.adjacency[v]), v))
+    adjacency = neighbors_of(graph)
+    order = sorted(range(n), key=lambda v: (-len(adjacency[v]), v))
     rank = [0] * n
     for pos, v in enumerate(order):
         rank[v] = pos
@@ -92,7 +114,7 @@ def triangles_by_forward_loop(graph: Graph) -> tuple[tuple[int, int, int], ...]:
     forward: list[set[int]] = [set() for _ in range(n)]
     triangles: list[tuple[int, int, int]] = []
     for v in order:
-        for u in graph.adjacency[v]:
+        for u in adjacency[v]:
             if rank[u] <= rank[v]:
                 continue
             for w in forward[v] & forward[u]:
@@ -103,6 +125,7 @@ def triangles_by_forward_loop(graph: Graph) -> tuple[tuple[int, int, int], ...]:
 
 
 def components_by_bfs(graph: Graph) -> list[set[int]]:
+    adjacency = neighbors_of(graph)
     seen: set[int] = set()
     out = []
     for start in range(graph.n):
@@ -113,7 +136,7 @@ def components_by_bfs(graph: Graph) -> list[set[int]]:
         seen.add(start)
         while queue:
             u = queue.pop()
-            for w in graph.adjacency[u]:
+            for w in adjacency[u]:
                 if w not in seen:
                     seen.add(w)
                     comp.add(w)
@@ -129,11 +152,11 @@ def weak_irreducibility_by_digraph(op) -> IrreducibilityCheck:
     n = op.n
     out_arcs: list[set[int]] = [set() for _ in range(n)]
     if op.alpha > 0.0:
-        for i, j in op.graph.edges:
+        for i, j in op.graph.edge_array.tolist():
             out_arcs[i].add(j)
             out_arcs[j].add(i)
     if op.alpha < 1.0:
-        for p, q, r in op.triangles.triangles:
+        for p, q, r in op.triangles.triangle_array.tolist():
             out_arcs[p].update((q, r))
             out_arcs[q].update((p, r))
             out_arcs[r].update((p, q))
@@ -182,6 +205,7 @@ def betweenness_by_enumeration(graph: Graph) -> list[Fraction]:
     rational fractions. Exponential; fine for n <= 9.
     """
     n = graph.n
+    adjacency = neighbors_of(graph)
     bc = [Fraction(0)] * n
 
     def all_simple_paths(s: int, t: int) -> list[list[int]]:
@@ -192,7 +216,7 @@ def betweenness_by_enumeration(graph: Graph) -> list[Fraction]:
             if node == t:
                 paths.append(path)
                 continue
-            for w in graph.adjacency[node]:
+            for w in adjacency[node]:
                 if w not in path:
                     stack.append((w, path + [w]))
         return paths
@@ -333,7 +357,9 @@ def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict[str, str]]:
     new_names = [f"x{i}" for i in range(graph.n)]
     rng.shuffle(new_names)
     mapping = {old: new for old, new in zip(graph.labels, new_names)}
-    pairs = [(mapping[graph.labels[u]], mapping[graph.labels[v]]) for u, v in graph.edges]
+    pairs = [
+        (mapping[graph.labels[u]], mapping[graph.labels[v]]) for u, v in graph.edge_array.tolist()
+    ]
     rng.shuffle(pairs)
     return Graph.from_edge_labels(pairs), mapping
 
@@ -348,6 +374,7 @@ def betweenness_by_loop(graph: Graph) -> np.ndarray:
     level-synchronous rewrite; raw scores over unordered pairs.
     """
     n = graph.n
+    adjacency = neighbors_of(graph)
     bc = [0.0] * n
     for s in range(n):
         dist = [-1] * n
@@ -360,7 +387,7 @@ def betweenness_by_loop(graph: Graph) -> np.ndarray:
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in graph.adjacency[v]:
+            for w in adjacency[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -415,14 +442,15 @@ def triangle_centrality_by_loop(graph: Graph, triangles: TriangleSet) -> np.ndar
     if total == 0:
         return np.zeros(n)
     tri_neighbors: list[set[int]] = [set() for _ in range(n)]
-    for p, q, r in triangles.triangles:
+    for p, q, r in triangles.triangle_array.tolist():
         tri_neighbors[p].update((q, r))
         tri_neighbors[q].update((p, r))
         tri_neighbors[r].update((p, q))
+    adjacency = neighbors_of(graph)
     scores = np.zeros(n)
     for v in range(n):
         core = t[v] + sum(t[u] for u in sorted(tri_neighbors[v]))
-        outside = sum(t[w] for w in graph.adjacency[v] if w not in tri_neighbors[v])
+        outside = sum(t[w] for w in adjacency[v] if w not in tri_neighbors[v])
         scores[v] = (core / 3.0 + outside) / total
     return scores
 
@@ -430,7 +458,7 @@ def triangle_centrality_by_loop(graph: Graph, triangles: TriangleSet) -> np.ndar
 def neighbor_triangles_by_loop(graph: Graph, triangles: TriangleSet) -> list[int]:
     """NT(i) = sum of T(j) over the neighbours j of i, one Python sum per vertex."""
     t = triangles.count_per_vertex()
-    return [sum(t[j] for j in graph.adjacency[i]) for i in range(graph.n)]
+    return [sum(t[j] for j in nbrs) for nbrs in neighbors_of(graph)]
 
 
 def incidence_by_loop(triangles: TriangleSet, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -439,7 +467,7 @@ def incidence_by_loop(triangles: TriangleSet, n: int) -> tuple[tuple[tuple[int, 
     The build the triangle lister once ran eagerly for every TriangleSet.
     """
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p, q, r in triangles.triangles:
+    for p, q, r in triangles.triangle_array.tolist():
         incidence[p].append((q, r))
         incidence[q].append((p, r))
         incidence[r].append((p, q))
@@ -462,10 +490,8 @@ def operator_arrays_by_loops(
     cols_k: list[int] = []
     coeffs: list[float] = []
     incidence = incidence_by_loop(triangles, n)
-    for i in range(n):
-        entries: list[tuple[int, int, float]] = [
-            (j, j, edge_coeff) for j in graph.adjacency[i]
-        ]
+    for i, nbrs in enumerate(neighbors_of(graph)):
+        entries: list[tuple[int, int, float]] = [(j, j, edge_coeff) for j in nbrs]
         for j, k in incidence[i]:
             entries.append((j, k, tri_coeff))
             entries.append((k, j, tri_coeff))
@@ -520,7 +546,7 @@ def rank_triangles(
         tuple(
             sorted((graph.labels[p], graph.labels[q], graph.labels[r]), key=label_sort_key)
         )
-        for p, q, r in triangles.triangles
+        for p, q, r in triangles.triangle_array.tolist()
     ]
     def triple_key(t: int) -> list:
         return [label_sort_key(lab) for lab in triples[t]]
@@ -614,7 +640,7 @@ def kendall_tau_b(a: np.ndarray, b: np.ndarray, tol: float) -> float:
 # The array builder and the shared shifted power kernel must reproduce them
 # exactly: same graphs, bitwise-equal solver results and reports. Each
 # builder returns, next to a Graph made from its edges, its own adjacency
-# and edge tuples, which the library graph's views and arrays must equal.
+# and edge tuples, which the library graph's CSR and arrays must equal.
 
 MATERIALIZE_LIMIT = 64
 
@@ -631,14 +657,10 @@ class OracleGraph(NamedTuple):
 def oracle_graph(labels: Sequence[str], edge_set: Iterable[tuple[int, int]]) -> OracleGraph:
     """The OracleGraph on labels with the (u, v), u < v, of edge_set: each
     vertex's neighbours gathered by a loop and sorted, and the edges sorted."""
-    adj: list[list[int]] = [[] for _ in labels]
-    for u, v in edge_set:
-        adj[u].append(v)
-        adj[v].append(u)
     edges = tuple(sorted(edge_set))
     return OracleGraph(
         Graph(labels=tuple(labels), edge_array=np.array(edges, dtype=np.int64).reshape(-1, 2)),
-        tuple(tuple(sorted(nbrs)) for nbrs in adj),
+        neighbor_tuples(len(labels), edges),
         edges,
     )
 
@@ -739,7 +761,7 @@ def remove_vertices(graph: Graph, labels: Iterable[str]) -> OracleGraph:
         raise GraphValidationError("removal would leave an empty graph")
     new_id = {old: new for new, old in enumerate(survivors)}
     edges: list[tuple[int, int]] = []
-    for u, v in graph.edges:
+    for u, v in graph.edge_array.tolist():
         if u in doomed or v in doomed:
             continue
         a, b = new_id[u], new_id[v]
@@ -752,7 +774,7 @@ def induced(graph: Graph, keep: list[int]) -> OracleGraph:
     keep_set = set(keep)
     edges = [
         (new_id[u], new_id[v])
-        for u, v in graph.edges
+        for u, v in graph.edge_array.tolist()
         if u in keep_set and v in keep_set
     ]
     return oracle_graph([graph.labels[i] for i in keep], edges)
@@ -777,10 +799,10 @@ def materialize_tensor(
     tensor = np.zeros((n, n, n))
     edge_coeff = alpha
     tri_coeff = (1.0 - alpha) * 0.5
-    for i, j in graph.edges:
+    for i, j in graph.edge_array.tolist():
         tensor[i, j, j] = edge_coeff
         tensor[j, i, i] = edge_coeff
-    for p, q, r in triangles.triangles:
+    for p, q, r in triangles.triangle_array.tolist():
         for a, b, c in ((p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p)):
             tensor[a, b, c] = tri_coeff
     return tensor

@@ -12,28 +12,36 @@ from tricent import (
     EdgeListParseError,
     Graph,
     GraphValidationError,
+    NotConnectedError,
     TriangleSet,
     atec,
     atec_per_component,
     betweenness_centrality,
+    build_operator,
     connected_components,
+    cycle_index_fiedler,
     dataset_names,
     dataset_path,
     degree_and_triangle_stats,
+    degree_centrality,
     dump_edge_list,
+    eigenvector_centrality,
     enumerate_triangles,
     is_connected,
     load_dataset,
     load_edge_list,
     removal_experiment,
     remove_vertices,
+    subgraph_centrality,
     triangle_centrality,
     triangle_importance,
+    verify_weak_irreducibility,
 )
 
 from oracles import (
     components_by_bfs,
     incidence_by_loop,
+    neighbors_of,
     random_connected_graph,
     triangle_count_by_trace,
     triangles_by_combinations,
@@ -112,10 +120,13 @@ class TestLoadEdgeList:
         assert karate.m == 78
 
     def test_adjacency_symmetric_and_sorted(self, dolphins):
-        for i, nbrs in enumerate(dolphins.adjacency):
-            assert list(nbrs) == sorted(nbrs)
+        indptr, indices = dolphins._csr
+        adjacency = [indices[s:e].tolist() for s, e in zip(indptr[:-1], indptr[1:])]
+        assert adjacency == [list(nbrs) for nbrs in neighbors_of(dolphins)]
+        for i, nbrs in enumerate(adjacency):
+            assert nbrs == sorted(nbrs)
             for j in nbrs:
-                assert i in dolphins.adjacency[j]
+                assert i in adjacency[j]
 
     def test_degree_sum_is_twice_edges(self, dolphins):
         assert sum(dolphins.degrees()) == 2 * dolphins.m
@@ -124,7 +135,7 @@ class TestLoadEdgeList:
         reloaded = load_edge_list(io.StringIO(dump_edge_list(g14)))
         assert reloaded.labels == g14.labels
         assert reloaded.edges == g14.edges
-        assert reloaded.adjacency == g14.adjacency
+        assert all(np.array_equal(a, b) for a, b in zip(reloaded._csr, g14._csr))
 
 
 def labelled_edges(graph: Graph) -> set[frozenset[str]]:
@@ -221,7 +232,7 @@ class TestConnectedComponents:
 class TestEnumerateTriangles:
     def test_k3(self, k3):
         tris = enumerate_triangles(k3)
-        assert tris.triangles == ((0, 1, 2),)
+        assert tris.triangle_array.tolist() == [[0, 1, 2]]
         assert tris.count_per_vertex() == [1, 1, 1]
 
     def test_path_is_triangle_free(self, p3):
@@ -236,7 +247,7 @@ class TestEnumerateTriangles:
             g = random_connected_graph(rng, rng.randint(3, 64))
             tris = enumerate_triangles(g)
             assert len(tris) == triangle_count_by_trace(g)
-            assert list(tris.triangles) == triangles_by_combinations(g)
+            assert list(map(tuple, tris.triangle_array.tolist())) == triangles_by_combinations(g)
 
     def test_incidence_consistency(self, celegans, celegans_triangles, g14, g14_triangles):
         for g, tris in ((celegans, celegans_triangles), (g14, g14_triangles)):
@@ -255,7 +266,7 @@ class TestEnumerateTriangles:
             assert all(type(t) is int for t in tris.count_per_vertex())
 
     def test_canonical_order(self, celegans_triangles):
-        tris = celegans_triangles.triangles
+        tris = celegans_triangles.triangle_array.tolist()
         assert all(p < q < r for p, q, r in tris)
         assert list(tris) == sorted(tris)
 
@@ -322,7 +333,7 @@ class TestDegreeTriangleStats:
         stats = degree_and_triangle_stats(g, tris)
         t = tris.count_per_vertex()
         for i in range(g.n):
-            assert stats.neighbor_triangles[i] == sum(t[j] for j in g.adjacency[i])
+            assert stats.neighbor_triangles[i] == sum(t[j] for j in neighbors_of(g)[i])
 
 
 def shuffled_and_relabelled(graph: Graph, rng: random.Random) -> tuple[Graph, dict[str, str]]:
@@ -402,7 +413,7 @@ def test_triangles_are_listed_once_per_graph(monkeypatch):
     reduced = remove_vertices(g, ["1"])
     tris = enumerate_triangles(reduced)
     assert listed == [g, reduced] and tris is not enumerate_triangles(g)
-    assert list(tris.triangles) == triangles_by_combinations(reduced)
+    assert list(map(tuple, tris.triangle_array.tolist())) == triangles_by_combinations(reduced)
     assert enumerate_triangles(reduced) is tris and len(listed) == 2
 
 
@@ -485,8 +496,8 @@ def test_partition_cases_cover_each_shape():
 def test_hot_paths_build_no_tuple_view(monkeypatch):
     """Loading, listing, a six-alpha atec with its importance rankings,
     triangle centrality, betweenness, removal, and per-component solves of a
-    disconnected graph read the index arrays only: no Graph or TriangleSet
-    made on the way builds its adjacency, edges or triangles tuples."""
+    disconnected graph read the index arrays only: no Graph made on the way
+    builds its edges tuples."""
     made = []
 
     def recording(init):
@@ -516,8 +527,7 @@ def test_hot_paths_build_no_tuple_view(monkeypatch):
     # karate, split, two removals, split's three subgraphs; and their triangles
     assert [type(x) for x in made].count(Graph) == 7
     assert [type(x) for x in made].count(TriangleSet) == 5
-    built = [(x, key) for x in made for key in ("adjacency", "edges", "triangles") if key in vars(x)]
-    assert built == []
+    assert [x for x in made if "edges" in vars(x)] == []
 
 
 # one broken invariant each, and the message of the check that must catch it
@@ -590,3 +600,57 @@ def test_constructors_accept_empty_arrays_and_refuse_unsorted_edges():
     # the rows of a triangle listed with each edge as (larger id, smaller id)
     with pytest.raises(GraphValidationError, match="does not strictly ascend"):
         Graph(labels=("a", "b", "c"), edge_array=np.array([[1, 0], [2, 1], [2, 0]]))
+
+
+# What a Graph may keep besides its labels and edge_array: array caches only.
+ARRAY_CACHES = {
+    "_label_to_id",
+    "_csr",
+    "_components",
+    "_triangles",
+    "_component_subgraphs",
+    "_operator_layout",
+}
+
+
+@pytest.mark.parametrize("connected", (True, False))
+def test_library_paths_build_no_tuple_view(connected):
+    """Every public entry point, run on a fresh graph, leaves only array
+    caches on it and on its component subgraphs: no library path builds the
+    Graph.edges view."""
+    pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("e", "c")]
+    if not connected:
+        pairs += [("x", "y"), ("y", "z"), ("x", "z"), ("z", "w")]
+    graph = Graph.from_edge_labels(pairs)
+    assert is_connected(graph) is connected
+    triangles = enumerate_triangles(graph)
+    per_component = atec_per_component(graph, 0.5)
+    for measure in (
+        degree_centrality,
+        subgraph_centrality,
+        betweenness_centrality,
+        lambda g: betweenness_centrality(g, exact=True),
+        lambda g: triangle_centrality(g, triangles),
+    ):
+        measure(graph)
+    verify_weak_irreducibility(build_operator(graph, triangles, 0.5))
+    triangle_importance(graph, triangles, per_component)
+    removal_experiment(graph, ["c"])
+    degree_and_triangle_stats(graph, triangles)
+    dump_edge_list(graph)
+    needs_connected = (
+        lambda: atec(graph, 0.5),
+        lambda: eigenvector_centrality(graph),
+        lambda: cycle_index_fiedler(graph, triangles),
+    )
+    for run in needs_connected:
+        if connected:
+            run()
+        else:
+            with pytest.raises(NotConnectedError):
+                run()
+    assert "_operator_layout" in vars(graph)
+    subgraphs = vars(graph).get("_component_subgraphs", ())
+    assert len(subgraphs) == (0 if connected else 2)
+    for g in (graph, *subgraphs):
+        assert set(vars(g)) - {"labels", "edge_array"} <= ARRAY_CACHES

@@ -397,7 +397,7 @@ def test_triangle_ranking_matches_loop_ranking(graph):
     degrees = degree_centrality(graph).scores
 
     got = triangle_importance(graph, triangles, degrees)
-    tri = np.asarray(triangles.triangles)
+    tri = triangles.triangle_array
     sums = degrees[tri[:, 0]] + degrees[tri[:, 1]] + degrees[tri[:, 2]]
     want = rank_triangles("triangle-importance", {}, graph, triangles, sums, TRIANGLE_TIE_TOL)
     assert got.entries == want.entries
@@ -421,7 +421,7 @@ def test_cached_index_arrays_are_read_only(g14, g14_triangles):
     assert edges is g14.edge_array and tris is g14_triangles.triangle_array
     assert edges.dtype == np.int64 and tris.dtype == np.int64
     assert edges.tolist() == [list(e) for e in g14.edges]
-    assert tris.tolist() == [list(t) for t in g14_triangles.triangles]
+    assert tris.tolist() == [list(t) for t in triangles_by_forward_loop(g14)]
     with pytest.raises(ValueError, match="read-only"):
         edges[0, 0] = 5
     with pytest.raises(ValueError, match="read-only"):
@@ -451,12 +451,10 @@ LISTING_GRAPHS = listing_graphs()
 
 
 def assert_listing_matches_forward_loop(graph: Graph):
-    """graph's listing equals the forward loop's: the same tuples of Python
-    ints, and the same rows in a read-only (T, 3) int64 triangle_array."""
+    """graph's listing equals the forward loop's: the same rows in a
+    read-only (T, 3) int64 triangle_array."""
     got, want = enumerate_triangles(graph), triangles_by_forward_loop(graph)
     assert got.n == graph.n and len(got) == len(want)
-    assert repr(got.triangles) == repr(want)
-    assert all(type(v) is int for t in got.triangles for v in t)
     arr = got.triangle_array
     assert arr.dtype == np.int64 and arr.shape == (len(want), 3)
     assert arr.tolist() == [list(t) for t in want]
@@ -629,12 +627,19 @@ def test_spearman_length_limit(monkeypatch):
 EXTRA_LABELS = ("a,b", 'q"r')
 
 
+def csr_neighbors(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours as the library's CSR (Graph._csr) holds them."""
+    starts, neighbors = (a.tolist() for a in graph._csr)
+    return tuple(tuple(neighbors[s:e]) for s, e in zip(starts, starts[1:]))
+
+
 def assert_same_graph(got: Graph, want: OracleGraph):
-    """got has the builder's labels, its edges and adjacency (the same tuples
-    of Python ints), and its edges as a read-only (m, 2) int64 edge_array."""
+    """got has the builder's labels, its edges (the same tuples of Python
+    ints), its adjacency in its CSR, and its edges as a read-only (m, 2) int64
+    edge_array."""
     assert got.labels == want.graph.labels
     assert repr(got.edges) == repr(want.edges)
-    assert repr(got.adjacency) == repr(want.adjacency)
+    assert repr(csr_neighbors(got)) == repr(want.adjacency)
     arr = got.edge_array
     assert arr.dtype == np.int64 and arr.shape == (len(want.edges), 2)
     assert arr.tolist() == [list(e) for e in want.edges]
@@ -757,7 +762,7 @@ def test_remove_vertices_matches_seed(graph):
     cases = [
         [],
         [graph.labels[hub]],
-        [graph.labels[j] for j in graph.adjacency[hub]],  # leaves the hub isolated
+        [graph.labels[j] for j in oracles.neighbors_of(graph)[hub]],  # leaves the hub isolated
         rng.sample(graph.labels, rng.randrange(1, graph.n)),
         list(graph.labels),  # removes every vertex
         [graph.labels[0], "no such label", graph.labels[0]],
@@ -1116,8 +1121,9 @@ TC_GRAPHS = triangle_sum_graphs()
 def test_triangle_sum_sample_covers_every_case():
     mixed = TC_GRAPHS["mixed-edges"]
     a = mixed.id_of("a")
-    tri_neighbors = {v for tri in enumerate_triangles(mixed).triangles if a in tri for v in tri}
-    assert tri_neighbors - {a} and set(mixed.adjacency[a]) - tri_neighbors
+    triangles = enumerate_triangles(mixed).triangle_array.tolist()
+    tri_neighbors = {v for tri in triangles if a in tri for v in tri}
+    assert tri_neighbors - {a} and set(oracles.neighbors_of(mixed)[a]) - tri_neighbors
     isolated = TC_GRAPHS["isolated"]
     assert not is_connected(isolated) and isolated.degree(isolated.id_of("x")) == 0
     assert len(enumerate_triangles(isolated)) > 0
