@@ -23,7 +23,7 @@ from .graph import Graph, TriangleSet, remove_vertices
 from .report import (
     VERTEX_TIE_TOL,
     CentralityReport,
-    _build_rows,
+    RankingView,
     competition_rank,
     label_positions,
     label_sort_key,
@@ -46,29 +46,30 @@ class TriangleRanking:
     the smallest rank of their block and the next distinct score skips the
     swallowed positions ("1, 2, 2, 2, 5"). Inside a block, entries follow
     their label-sorted triples in label_sort_key order, not their scores.
+    entries is a view of RankedTriangle rows over the columns v1, v2, v3 (each
+    triple label-sorted), score and rank, equal to the tuple of those rows.
     """
 
     index: str
     params: dict
-    entries: tuple[RankedTriangle, ...]
+    entries: RankingView
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def top(self, k: int) -> list[tuple[str, str, str]]:
-        return [e.vertices for e in self.entries[:k]]
+        return list(zip(*(column[:k].tolist() for column in self.entries.columns[:3])))
 
     @cached_property
-    def _by_triple(self) -> dict[tuple[str, ...], RankedTriangle]:
-        # Filled back to front so the first entry of a repeated triple wins.
-        return {
-            tuple(sorted(e.vertices, key=label_sort_key)): e for e in reversed(self.entries)
-        }
+    def _by_triple(self) -> dict[tuple[str, str, str], int]:
+        # Position of each triple, filled back to front so the first one wins.
+        triples = zip(*(column[::-1].tolist() for column in self.entries.columns[:3]))
+        return dict(zip(triples, range(len(self) - 1, -1, -1)))
 
     def _entry(self, vertices: Sequence[str]) -> RankedTriangle:
         want = tuple(sorted(vertices, key=label_sort_key))
         try:
-            return self._by_triple[want]
+            return self.entries[self._by_triple[want]]
         except KeyError:
             raise KeyError(f"triangle {want} not in ranking") from None
 
@@ -93,9 +94,12 @@ def _rank_triangles(
     by_pos[pos] = graph.labels
     corners = np.sort(pos[triangles.triangle_array], axis=1)
     order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
-    triples = zip(*by_pos[corners[order]].T.tolist())  # built from columns: no list per row
-    entries = _build_rows(RankedTriangle, (triples, scores[order].tolist(), rank.tolist()))
-    return TriangleRanking(index=index, params=dict(params), entries=entries)
+    columns = (*by_pos[corners[order]].T, scores[order], rank)
+    return TriangleRanking(index, dict(params), RankingView(_ranked_triangle, columns))
+
+
+def _ranked_triangle(v1: str, v2: str, v3: str, score: float, rank: int) -> RankedTriangle:
+    return RankedTriangle((v1, v2, v3), score, rank)
 
 
 def triangle_importance(
@@ -120,7 +124,6 @@ def triangle_importance(
         raise ValueError("score vector does not match the graph")
     if len(triangles) == 0:
         warnings.warn("graph has no triangles; importance ranking is empty")
-        return TriangleRanking("triangle-importance", params, ())
     tri = triangles.triangle_array
     sums = scores[tri[:, 0]] + scores[tri[:, 1]] + scores[tri[:, 2]]
     return _rank_triangles("triangle-importance", params, graph, triangles, sums, tie_tol)
@@ -141,7 +144,7 @@ def cycle_index_fiedler(
     """
     if len(triangles) == 0:
         warnings.warn("graph has no triangles; cycle-index ranking is empty")
-        return TriangleRanking("cycle-index", {}, ())
+        return _rank_triangles("cycle-index", {}, graph, triangles, np.empty(0), tie_tol)
     x = fiedler_vector(graph, tol=tol)
     tri = triangles.triangle_array
     p, q, r = x[tri[:, 0]], x[tri[:, 1]], x[tri[:, 2]]

@@ -120,10 +120,6 @@ class Graph:
         own component, and keeping itself here would make a reference cycle."""
         return tuple(_induced(self, comp) for comp in self._components)
 
-    def degree(self, i: int) -> int:
-        indptr = self._csr[0]
-        return int(indptr[i + 1] - indptr[i])
-
     def degrees(self) -> list[int]:
         return np.diff(self._csr[0]).tolist()
 
@@ -132,10 +128,6 @@ class Graph:
             return self._label_to_id[label]
         except KeyError:
             raise GraphValidationError(f"unknown vertex label {label!r}") from None
-
-    def has_edge(self, i: int, j: int) -> bool:
-        indptr, indices = self._csr
-        return bool((indices[indptr[i] : indptr[i + 1]] == j).any())
 
     @staticmethod
     def from_edge_labels(pairs: Iterable[tuple[str, str]]) -> "Graph":

@@ -2,51 +2,14 @@
 
 from __future__ import annotations
 
-import gc
-import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 VERTEX_TIE_TOL = 1e-9
-
-
-class _CollectorPause:
-    """Context manager: no automatic garbage collection while ranking rows are built.
-
-    CPython tracks a NamedTuple row for good, so with the collector on a
-    build of n rows runs about n/700 young collections, and the older ones
-    they trigger walk every live row; paused, the build ends with one young
-    collection. The collector's state is process-wide, so the pause is too:
-    while any thread builds rows, no allocation starts a collection. A lock
-    and a depth count restore the prior state: the first thread in records
-    gc.isenabled() and disables, the last one out re-enables only if the
-    first saw it on. Without them, two threads can leave it off for good.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._resume = False
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                self._resume = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._resume:
-                gc.enable()
-
-
-_collector_paused = _CollectorPause()
 
 
 def label_sort_key(label: str):
@@ -106,6 +69,47 @@ class RankedVertex(NamedTuple):
     tie_group: int
 
 
+class RankingView(Sequence):
+    """The rows of a ranking, kept as columns; a row is made when it is read.
+
+    columns are equal-length arrays in rank order, labels in object arrays,
+    made read-only here. row(*cells) makes the row at one position from
+    cells taken through tolist(), so they are Python str, float and int. The
+    view acts as the tuple of its rows: indexing (a slice gives a tuple of
+    rows), iteration and membership, and == against a tuple of rows in either
+    operand order. Two views compare by their columns.
+    """
+
+    __slots__ = ("_row", "columns")
+
+    def __init__(self, row: Callable[..., tuple], columns: Sequence[np.ndarray]) -> None:
+        self._row = row
+        self.columns = tuple(columns)
+        for column in self.columns:
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._row, *(column[i].tolist() for column in self.columns)))
+        i = range(len(self))[i]  # IndexError out of range, as for a tuple
+        return self[i : i + 1][0]
+
+    def __iter__(self):
+        return map(self._row, *(column.tolist() for column in self.columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RankingView):
+            columns = zip(self.columns, other.columns)
+            same = self._row is other._row and all(np.array_equal(a, b) for a, b in columns)
+            return same or len(self) == len(other) == 0
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+
 @dataclass(frozen=True, eq=False)
 class CentralityReport:
     """Scores of one measure over one graph.
@@ -113,7 +117,8 @@ class CentralityReport:
     scores[i] belongs to labels[i] (the graph's internal order). The ranking
     is descending by score with competition ranks: scores within tie_tol form
     a tie group sharing the smallest rank, ordered by ascending label inside
-    the group, and the next distinct score skips the swallowed ranks.
+    the group, and the next distinct score skips the swallowed ranks. It is a
+    RankingView of RankedVertex rows, equal to the tuple of those rows.
     """
 
     measure: str
@@ -121,7 +126,7 @@ class CentralityReport:
     labels: tuple[str, ...]
     scores: np.ndarray
     normalization: str  # "unit-euclidean" | "raw"
-    ranking: tuple[RankedVertex, ...]
+    ranking: RankingView
     meta: dict = field(default_factory=dict)
 
     @property
@@ -139,7 +144,7 @@ class CentralityReport:
             raise KeyError(f"no vertex labeled {label!r} in this report") from None
 
     def top(self, k: int) -> list[str]:
-        return [entry.label for entry in self.ranking[:k]]
+        return self.ranking.columns[0][:k].tolist()
 
     def unit_euclidean(self) -> "CentralityReport":
         """The same report rescaled to unit Euclidean norm."""
@@ -162,21 +167,13 @@ def rank_scores(
     labels: Sequence[str],
     scores: np.ndarray,
     tie_tol: float = VERTEX_TIE_TOL,
-) -> tuple[RankedVertex, ...]:
-    """Competition-rank scores descending; each tie group sorted by label."""
+) -> RankingView:
+    """Competition-rank scores descending; each tie group sorted by label.
+
+    A view of RankedVertex rows over the columns label, score, rank, tie group."""
     order, group, rank = competition_rank(scores, (label_positions(tuple(labels)),), tie_tol)
-    order = order.tolist()
-    columns = ([labels[i] for i in order], scores[order].tolist(), rank.tolist(), group.tolist())
-    return _build_rows(RankedVertex, columns)
-
-
-def _build_rows(cls: type, columns: Sequence[Iterable]) -> tuple:
-    """One cls row per position of the columns, built with automatic garbage
-    collection paused; a column may be a lazy iterator, and it is consumed
-    inside the pause too."""
-    # tuple.__new__ is what cls._make calls, minus a call and a length check
-    with _collector_paused:
-        return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
+    ranked = np.array(labels, dtype=object)[order]
+    return RankingView(RankedVertex, (ranked, scores[order], rank, group))
 
 
 def make_report(

@@ -11,17 +11,29 @@ os.environ.update(cli_grid.BLAS_ENV)
 
 import pytest  # noqa: E402
 
-from tricent import Graph, enumerate_triangles, load_dataset  # noqa: E402
+from tricent import Graph, centrality, enumerate_triangles, load_dataset  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
 def collector_state_kept():
     """Fail a test that leaves the garbage collector on or off other than it
-    found it: building rankings pauses it process-wide, and a pause that
-    leaks would change every later test's memory behaviour."""
+    found it. No library path may call gc.enable() or gc.disable(): the
+    collector's state is the calling program's, and a change that leaks
+    would alter every later test's memory behaviour."""
     enabled = gc.isenabled()
     yield
     assert gc.isenabled() is enabled, "the test changed gc.isenabled()"
+
+
+@pytest.fixture()
+def no_dense_adjacency(monkeypatch):
+    """centrality.adjacency_matrix fails if anything calls it: a size guard
+    under test must refuse before any n x n array exists."""
+
+    def refuse(graph):
+        raise AssertionError(f"an n x n adjacency matrix was built for n = {graph.n}")
+
+    monkeypatch.setattr(centrality, "adjacency_matrix", refuse)
 
 
 @pytest.fixture(scope="session")

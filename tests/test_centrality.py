@@ -21,6 +21,7 @@ from tricent import (
     subgraph_centrality,
     triangle_centrality,
 )
+from tricent.centrality import SC_SIZE_LIMIT
 
 from oracles import (
     adjacency_of,
@@ -255,6 +256,8 @@ class TestRelabelingInvariance:
             )
 
 
-def test_sc_size_guard():
-    with pytest.raises(ValueError, match="exceeds"):
-        subgraph_centrality(path_graph(5001))
+def test_sc_size_guard(no_dense_adjacency):
+    """One vertex over the limit is refused before any n x n array exists."""
+    limit = f"n = {SC_SIZE_LIMIT + 1} exceeds the {SC_SIZE_LIMIT} limit"
+    with pytest.raises(ValueError, match=limit):
+        subgraph_centrality(path_graph(SC_SIZE_LIMIT + 1))

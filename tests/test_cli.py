@@ -12,6 +12,7 @@ import pytest
 
 import tricent
 from tricent import dataset_path
+from tricent.centrality import SC_SIZE_LIMIT
 from tricent.cli import build_parser, main
 
 import cli_grid
@@ -150,6 +151,15 @@ class TestCentralityCommand:
         code, _, err = run(capsys, "centrality", "--input", str(bad), "--alpha", "0.5")
         assert code == 3
         assert "line 1" in err
+
+    def test_sc_over_the_size_limit_is_data_error(self, capsys, tmp_path, no_dense_adjacency):
+        """SC on a path one vertex over the limit exits 3, naming the limit,
+        without building the n x n adjacency matrix."""
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, SC_SIZE_LIMIT + 1)))
+        code, out, err = run(capsys, "centrality", "--input", str(path), "--measure", "sc")
+        assert code == 3 and out == ""
+        assert f"exceeds the {SC_SIZE_LIMIT} limit" in err
 
     def test_deterministic_output(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"

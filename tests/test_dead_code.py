@@ -1,13 +1,16 @@
-"""No module-level private name in src/tricent is left without a user, and
-no module imports a name it never reads."""
+"""No module-level private name in src/tricent is left without a user, no
+public method of the core classes is left without a reader, and no module
+imports a name it never reads."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import tricent
 
 PACKAGE = Path(tricent.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def references(tree: ast.AST) -> Counter:
@@ -48,6 +51,38 @@ def test_every_private_module_name_is_used_in_the_package():
         for name, node in private_definitions(tree)
         # uses inside the definition itself, such as recursion, do not count
         if used[name] == references(node)[name]
+    ]
+    assert unused == []
+
+
+PUBLIC_CLASSES = {"Graph", "TriangleSet", "CentralityReport", "TriangleRanking", "RankingView"}
+
+
+def public_members(tree: ast.Module):
+    """(class, name, node) for every public method and property of PUBLIC_CLASSES."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in PUBLIC_CLASSES:
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node.name, node
+
+
+def test_every_public_method_is_read_outside_its_definition():
+    """Read in src/, tests/, demos/, perfbench/ or README.md; the README
+    counts a name it writes after a dot, as in report.top(10)."""
+    package = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [REPO / folder for folder in ("tests", "demos", "perfbench")]
+    trees = [*package.values()]
+    trees += [ast.parse(path.read_text()) for folder in readers for path in folder.glob("*.py")]
+    used = sum((references(tree) for tree in trees), Counter())
+    readme = set(re.findall(r"\.(\w+)", (REPO / "README.md").read_text()))
+    classes = {n.name for t in package.values() for n in t.body if isinstance(n, ast.ClassDef)}
+    assert PUBLIC_CLASSES <= classes
+    unused = [
+        f"{cls}.{name}"
+        for tree in package.values()
+        for cls, name, node in public_members(tree)
+        if used[name] == references(node)[name] and name not in readme
     ]
     assert unused == []
 

@@ -111,8 +111,8 @@ def test_report_rows_are_built_as_named_tuples(karate):
 
 @pytest.mark.parametrize("name", ["karate", "dolphins", "celegans-metabolic", "paper-g14"])
 def test_ranking_rows_equal_rows_built_by_make(name):
-    """rank_scores and _rank_triangles build their rows with tuple.__new__;
-    each is still an instance of its NamedTuple, equal to the _make row."""
+    """The rows rank_scores and _rank_triangles make when read are instances
+    of their NamedTuple, equal to the _make row."""
     from tricent import RankedTriangle, RankedVertex, enumerate_triangles, load_dataset
     from tricent.analysis import TRIANGLE_TIE_TOL, _rank_triangles
     from tricent.report import rank_scores
@@ -139,15 +139,11 @@ def seeded_scores(n: int, seed: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(f"v{i}" for i in rng.permutation(n)), rng.integers(0, 40, n) / 9.0
 
 
-def test_rank_scores_from_many_threads_keeps_the_collector_state():
+def test_rank_scores_from_many_threads_matches_one_thread_and_keeps_the_collector_state():
     """Eight threads (more than the cores) rank at once, with a thread switch
-    forced every microsecond. Row building pauses the process-wide collector,
-    and without the pause's lock and depth count two threads can leave it
-    off for good: T1 reads gc.isenabled() as True and disables, T2 reads
-    False, T1 re-enables, T2's own disable lands after that, and T2, having
-    seen it off, never turns it back on. Every ranking must equal the
-    single-thread one, and the collector must end as it started, on in one
-    round and off in the other."""
+    forced every microsecond. Every ranking must equal the single-thread one,
+    and the collector must end as it started, on in one round and off in the
+    other: ranking never switches it."""
     labels, scores = seeded_scores(2000, 18)
     expected = rank_scores(labels, scores)
     done = []
@@ -205,3 +201,93 @@ def test_triangle_importance_runs_no_collection_per_700_rows():
     scores = np.random.default_rng(18).random(graph.n)
     triangle_importance(graph, triangles, scores)
     assert collections_during(lambda: triangle_importance(graph, triangles, scores)) <= 2
+
+
+@pytest.fixture(scope="module", params=["vertex", "triangle"])
+def views(request):
+    """(view, the view built again, a view of other scores) for seeded scores
+    on a coarse grid, so most rows tie."""
+    if request.param == "vertex":
+        labels, scores = seeded_scores(300, 21)
+
+        def build(values):
+            return rank_scores(labels, values)
+
+    else:
+        graph = holme_kim_graph(random.Random(21), 200)
+        triangles = enumerate_triangles(graph)
+        _, scores = seeded_scores(graph.n, 21)
+
+        def build(values):
+            return triangle_importance(graph, triangles, values).entries
+
+    return build(scores), build(scores.copy()), build(scores[::-1])
+
+
+def test_view_indexes_like_its_tuple(views):
+    view, _, _ = views
+    rows = tuple(view)
+    assert len(view) == len(rows) > 100
+    assert len({row.rank for row in rows}) < len(rows) / 4  # tie-heavy
+    for i in range(-len(rows), len(rows)):
+        assert view[i] == rows[i] and type(view[i]) is type(rows[i])
+    for i in (len(rows), len(rows) + 7, -len(rows) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(ValueError, match="read-only"):
+        view.columns[-1][0] = 0
+
+
+def test_view_slices_like_its_tuple(views):
+    view, _, _ = views
+    rows = tuple(view)
+    n = len(rows)
+    for start in (None, 0, 3, -5, n - 1, n, n + 4):
+        for stop in (None, 0, 7, -2, n, -n - 3):
+            for step in (None, 1, 2, 3, -1, -4):
+                part = view[start:stop:step]
+                assert type(part) is tuple and part == rows[start:stop:step]
+    assert view[5:5] == () and view[n:] == () and view[:0:1] == ()
+
+
+def test_view_iterates_and_searches_like_its_tuple(views):
+    view, _, _ = views
+    rows = tuple(view)
+    assert list(view) == list(rows)
+    assert list(reversed(view)) == list(reversed(rows))
+    for row in (*rows[::37], rows[-1]):
+        assert row in view
+        assert view.index(row) == rows.index(row)
+        assert view.count(row) == rows.count(row) == 1
+    missing = rows[0]._replace(rank=0)
+    assert missing not in view and missing not in rows
+    assert view.count(missing) == rows.count(missing) == 0
+    with pytest.raises(ValueError):
+        view.index(missing)
+
+
+def test_view_compares_like_its_tuple(views):
+    view, again, other = views
+    rows, other_rows = tuple(view), tuple(other)
+    assert view is not again and view == again and not view != again
+    for left, right in ((view, rows), (rows, view), (view, again)):
+        assert left == right and not left != right
+    assert rows != other_rows
+    for left, right in ((view, other), (other, view), (view, other_rows), (other_rows, view)):
+        assert left != right and not left == right
+    assert (rows == list(rows)) is False
+    for left, right in ((view, list(rows)), (list(rows), view)):
+        assert left != right and not left == right
+    for left, right in ((view, rows[:-1]), (rows[1:], view), (view, ())):
+        assert left != right
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+def test_empty_views_equal_the_empty_tuple(p3):
+    with pytest.warns(UserWarning, match="no triangles"):
+        entries = triangle_importance(p3, enumerate_triangles(p3), np.ones(3)).entries
+    vertices = rank_scores((), np.empty(0))
+    assert len(entries) == len(vertices) == 0 and tuple(entries) == ()
+    assert entries == () == vertices and entries == vertices and vertices == entries
+    assert entries[:] == () and list(reversed(vertices)) == []
