@@ -29,6 +29,7 @@ from .analysis import (
     triangle_importance,
 )
 from .centrality import (
+    _check_sc_size,
     betweenness_centrality,
     degree_centrality,
     eigenvector_centrality,
@@ -244,6 +245,8 @@ def cmd_centrality(args) -> int:
     measures = _parse_measures(args.measure, args.alpha)
     if not measures:
         raise UsageError("--measure needs at least one measure")
+    if any(name == "sc" for name, _ in measures):  # refuse before any measure runs
+        _check_sc_size(graph)
     tables = []
     for name, alpha in measures:
         report = _compute_measure(name, alpha, graph, tol, args.per_component)
@@ -399,6 +402,8 @@ def cmd_compare(args) -> int:
     measures = _parse_measures(args.measure, args.alpha)
     if len(measures) < 2:
         raise UsageError("compare needs at least two measures")
+    if any(name == "sc" for name, _ in measures):
+        _check_sc_size(graph)
     names, vectors = [], []
     for name, alpha in measures:
         report = _compute_measure(name, alpha, graph, tol, None)

@@ -76,12 +76,10 @@ _APPLY_BLOCK = 8192
 _SLICE_MIN_ROWS = 1024
 # Anderson mixing depth of the Perron solver; 0 runs the plain power iteration
 _ANDERSON_DEPTH = 5
-# Mixing stops once an iterate's Collatz-Wielandt ratios agree to within this
-# fraction (16 ulps) of the largest: below it, the residual differences mixing
-# fits are rounding noise, and noisy mixed iterates can land on a vector whose
-# computed ratios all round alike, which would meet any tolerance. Only
-# tolerances below about 4e-15 * (rho + shift) reach it.
-_MIX_FLOOR = 2.0**-48
+# A tol at most this fraction (16 ulps) of the shifted bracket's lower end is
+# rounding noise, which a bracket of computed ratios that all round alike meets
+# by chance (width 0); so tolerances below about 4e-15 * (rho + 1) are refused.
+_ROUNDING_FLOOR = 2.0**-48
 
 
 class AlphaDomainError(ValueError):
@@ -275,7 +273,6 @@ def solve_spectral(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    shift: float = DEFAULT_SHIFT,
     x0: np.ndarray | None = None,
 ) -> SpectralResult:
     """Shifted higher-order power iteration for rho(A) and its eigenvector.
@@ -287,8 +284,8 @@ def solve_spectral(
     current iterate's bracket is narrower than tol. The reported bracket is
     the running intersection of all iterates' brackets, which narrows
     monotonically, and rho is its midpoint. Raises ConvergenceError with that
-    bracket if the budget runs out, and NotConnectedError, before iterating,
-    when op.graph is disconnected.
+    bracket if the budget runs out or tol is within rounding of rho + shift,
+    and NotConnectedError, before iterating, when op.graph is disconnected.
     """
     ncomp = len(op.graph._components)
     if ncomp != 1:
@@ -296,7 +293,7 @@ def solve_spectral(
             f"graph has {ncomp} components; the positive eigenvector is only "
             "unique on connected graphs (solve per component)"
         )
-    return _shifted_power(op, 3, tol=tol, max_iter=max_iter, shift=shift, x0=x0)
+    return _shifted_power(op, 3, tol=tol, max_iter=max_iter, x0=x0)
 
 
 def _shifted_power(
@@ -305,26 +302,24 @@ def _shifted_power(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    shift: float = DEFAULT_SHIFT,
     x0: np.ndarray | None = None,
 ) -> SpectralResult:
     """Perron pair of a nonnegative matrix (order 2) or order-3 tensor.
 
     op has a length n and an apply(x) that is homogeneous of degree
     order - 1: A x for a matrix, A x^2 for the tensor. Each step forms
-    y = op.apply(x) + shift * x^[order-1]; min and max of y / x^[order-1],
-    less the shift, bracket the spectral radius, and iteration stops once
-    that bracket is narrower than tol. The power step g(x) is the
-    unit-Euclidean (order - 1)-th root of y.
+    y = op.apply(x) + DEFAULT_SHIFT * x^[order-1]; min and max of y /
+    x^[order-1], less the shift, bracket the spectral radius; iteration stops
+    once it is narrower than tol; a tol <= _ROUNDING_FLOOR * (lo + shift) is
+    refused at once. The power step g(x) is the unit (order - 1)-th root of y.
 
     With _ANDERSON_DEPTH > 0 (read at call time) the next iterate is the
     Anderson mix of g(x) with the last depth steps (_AndersonMixer). A mixed
     iterate with a nonpositive entry is replaced by g(x) and the history
-    restarts; once the ratios agree to within rounding noise, plain steps
-    follow. Every positive iterate's bracket encloses the radius, so the
-    reported bracket is the running intersection (max lo, min hi), and rho
-    is its midpoint. With depth 0 the iterate is g(x) and the bracket the
-    current one: the plain shifted power iteration.
+    restarts. Every positive iterate's bracket encloses the radius, so the
+    reported bracket is the running intersection (max lo, min hi), and rho is
+    its midpoint. With depth 0 the iterate is g(x) and the bracket the current
+    one: the plain shifted power iteration.
 
     Each iteration makes exactly one op.apply call, looked up on the
     instance, so a wrapper assigned to the instance sees every product; the
@@ -335,8 +330,6 @@ def _shifted_power(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if shift <= 0:
-        raise ValueError("shift must be positive for guaranteed convergence")
     if x0 is None:
         x = np.full(n, 1.0 / np.sqrt(n))
     else:
@@ -353,19 +346,26 @@ def _shifted_power(
     for iteration in range(1, max_iter + 1):
         x_pow = x if order == 2 else x * x  # x^[order-1]
         ax = op.apply(x)
-        y = ax + shift * x_pow
+        y = ax + DEFAULT_SHIFT * x_pow
         if np.any(y <= 0):
             raise RuntimeError(
                 "nonpositive iterate component: operator is not weakly "
                 "irreducible (disconnected input?) or the seed was invalid"
             )
         ratios = y / x_pow
-        lo = float(ratios.min()) - shift
-        hi = float(ratios.max()) - shift
+        lo = float(ratios.min()) - DEFAULT_SHIFT
+        hi = float(ratios.max()) - DEFAULT_SHIFT
         if mixer is None:
             bracket = (lo, hi)
         else:  # every positive iterate encloses rho, so their intersection does
             bracket = (max(bracket[0], lo), min(bracket[1], hi))
+        if tol <= _ROUNDING_FLOOR * (lo + DEFAULT_SHIFT):
+            raise ConvergenceError(
+                f"no convergence: tol {tol:.3e} is within rounding of the bracket "
+                f"[{bracket[0]:.10g}, {bracket[1]:.10g}] at iteration {iteration}",
+                bracket=bracket,
+                iterations=iteration,
+            )
         if hi - lo < tol:
             rho = 0.5 * (bracket[0] + bracket[1])
             residual = float(np.max(np.abs(ax - rho * x_pow)))
@@ -378,15 +378,7 @@ def _shifted_power(
             )
         gx = y if order == 2 else np.sqrt(y)
         gx /= np.linalg.norm(gx)
-        if mixer is None:
-            x = gx
-        elif hi - lo <= _MIX_FLOOR * (hi + shift):
-            # the ratios differ by rounding noise only, and so would the
-            # residual differences that mixing fits: take plain steps
-            mixer.restart()
-            x = gx
-        else:
-            x = mixer.mix(x, gx)
+        x = gx if mixer is None else mixer.mix(x, gx)
 
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations; bracket width "
@@ -434,17 +426,14 @@ class _AndersonMixer:
         try:
             gamma = np.linalg.solve(self.gram[:k, :k], self.df[:k] @ f)
         except np.linalg.LinAlgError:  # exactly singular: a repeated difference
-            self.restart()
+            self.count = 0
             return gx
         mixed = gx - gamma @ self.dg[:k]
         if not np.all(mixed > 0):  # NaN entries count as nonpositive
-            self.restart()
+            self.count = 0
             return gx
         mixed /= np.linalg.norm(mixed)
         return mixed
-
-    def restart(self) -> None:
-        self.count = 0
 
 
 def atec(

@@ -6,8 +6,9 @@ betweenness by explicit shortest-path enumeration over exact rationals,
 subgraph centrality by a truncated Taylor series of exp(A), the alpha-triangle
 operator by a dense tensor and a triple-loop contraction. The forward-loop
 triangle listing, the loop-based operator build, the competition rankings,
-the rank correlations, the per-caller graph builders, the two power loops,
-the adjacency matrix, the per-source betweenness loop, the
+the rank correlations, the per-caller graph builders, the two power loops
+(with their per-row adjacency product and their refusal of a tol within
+rounding), the adjacency matrix, the per-source betweenness loop, the
 triangle-centrality and neighbour-triangle-sum loops, the eager triangle
 incidence build and the two-digraph weak-irreducibility check are the
 reference the library versions must match exactly. record_apply records the
@@ -48,11 +49,11 @@ from tricent import (
     SpectralResult,
     TriangleRanking,
     TriangleSet,
-    adjacency_matrix,
     is_connected,
     make_report,
 )
-from tricent.report import VERTEX_TIE_TOL, label_sort_key
+from tricent.analysis import _ranked_triangle
+from tricent.report import VERTEX_TIE_TOL, RankingView, label_sort_key
 from tricent.tensor import DEFAULT_MAX_ITER, DEFAULT_SHIFT, DEFAULT_TOL
 
 
@@ -567,7 +568,13 @@ def rank_triangles(
         for t in members:
             entries.append(RankedTriangle(triples[t], float(scores[t]), position))
         position += len(members)
-    return TriangleRanking(index=index, params=dict(params), entries=tuple(entries))
+    # the loop rows as the columns v1, v2, v3, score, rank of a view
+    columns = (
+        *(np.array([e.vertices[c] for e in entries], dtype=object) for c in range(3)),
+        np.array([e.score for e in entries], dtype=float),
+        np.array([e.rank for e in entries], dtype=np.intp),
+    )
+    return TriangleRanking(index, dict(params), RankingView(_ranked_triangle, columns))
 
 
 def average_ranks(values: np.ndarray, tol: float) -> list[Fraction]:
@@ -830,7 +837,6 @@ def solve_spectral_by_loop(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    shift: float = DEFAULT_SHIFT,
     x0: np.ndarray | None = None,
 ) -> SpectralResult:
     """Shifted higher-order power iteration for rho(A) and its eigenvector.
@@ -838,16 +844,16 @@ def solve_spectral_by_loop(
     Iterates y = A x^2 + shift * x^[2]; x <- sqrt(y) / ||sqrt(y)||_2. The
     Collatz-Wielandt ratios y_i / x_i^2 bracket rho + shift from both sides,
     the bracket tightens monotonically, and iteration stops when its width
-    falls below tol. Raises ConvergenceError with the final bracket if the
-    budget runs out.
+    falls below tol. Raises ConvergenceError with the current bracket if the
+    budget runs out, or at the first iteration whose bracket puts tol within
+    rounding (within_rounding).
     """
     n = op.n
+    shift = DEFAULT_SHIFT
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if shift <= 0:
-        raise ValueError("shift must be positive for guaranteed convergence")
     if x0 is None:
         x = np.full(n, 1.0 / np.sqrt(n))
     else:
@@ -870,6 +876,7 @@ def solve_spectral_by_loop(
         ratios = y / x_sq
         lo = float(ratios.min()) - shift
         hi = float(ratios.max()) - shift
+        within_rounding(tol, lo, hi, shift, iteration)
         if hi - lo < tol:
             rho = 0.5 * (lo + hi)
             residual = float(np.max(np.abs(op.apply(x) - rho * x_sq)))
@@ -891,6 +898,19 @@ def solve_spectral_by_loop(
     )
 
 
+def within_rounding(tol: float, lo: float, hi: float, shift: float, iteration: int) -> None:
+    """Raise ConvergenceError if tol is at most 16 ulps (2**-48) of lo +
+    shift, the shifted bracket's lower end: a bracket that narrow is
+    rounding noise, and one that rounding closed would meet any tol."""
+    if tol <= 2.0**-48 * (lo + shift):
+        raise ConvergenceError(
+            f"no convergence: tol {tol:.3e} is within rounding of the bracket "
+            f"[{lo:.10g}, {hi:.10g}] at iteration {iteration}",
+            bracket=(lo, hi),
+            iterations=iteration,
+        )
+
+
 def record_apply(op) -> list[tuple[np.ndarray, np.ndarray]]:
     """Wrap op.apply on the instance and return the list it records into.
 
@@ -910,11 +930,12 @@ def record_apply(op) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def collatz_wielandt_brackets(
-    calls: Sequence[tuple[np.ndarray, np.ndarray]], order: int = 3, shift: float = DEFAULT_SHIFT
+    calls: Sequence[tuple[np.ndarray, np.ndarray]], order: int = 3
 ) -> list[tuple[float, float]]:
     """The (lo, hi) bracket of each recorded iterate, by the solvers' own
     float expressions: y = op.apply(x) + shift * x^[order-1], and the min
-    and max of y / x^[order-1], less the shift."""
+    and max of y / x^[order-1], less the shift (DEFAULT_SHIFT)."""
+    shift = DEFAULT_SHIFT
     brackets = []
     for x, ax in calls:
         x_pow = x if order == 2 else x * x
@@ -939,22 +960,25 @@ def eigenvector_centrality_by_loop(
 
     Power iteration on A + I: the +1 diagonal shift makes the matrix primitive
     for every connected graph (bipartite graphs included), so the iteration
-    always converges. Collatz-Wielandt ratios bracket the eigenvalue and the
-    loop stops when the bracket is narrower than tol.
+    always converges. A x is adjacency_product_by_loop. Collatz-Wielandt
+    ratios bracket the eigenvalue and the loop stops when the bracket is
+    narrower than tol, or refuses a tol within rounding (within_rounding).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not is_connected(graph):
         raise NotConnectedError("eigenvector centrality needs a connected graph")
     n = graph.n
-    a = adjacency_matrix(graph)
+    product = adjacency_product_by_loop(graph)
     x = np.full(n, 1.0 / np.sqrt(n))
     lo = hi = np.nan
     for iteration in range(1, max_iter + 1):
-        y = a @ x + x
+        ax = product(x)
+        y = ax + x
         ratios = y / x
         lo = float(ratios.min()) - 1.0
         hi = float(ratios.max()) - 1.0
+        within_rounding(tol, lo, hi, 1.0, iteration)
         if hi - lo < tol:
             lam = 0.5 * (lo + hi)
             return make_report(
@@ -966,7 +990,7 @@ def eigenvector_centrality_by_loop(
                 meta={
                     "eigenvalue": lam,
                     "iterations": iteration,
-                    "residual": float(np.max(np.abs(a @ x - lam * x))),
+                    "residual": float(np.max(np.abs(ax - lam * x))),
                 },
             )
         x = y / np.linalg.norm(y)
@@ -975,6 +999,24 @@ def eigenvector_centrality_by_loop(
         bracket=(lo, hi),
         iterations=max_iter,
     )
+
+
+def adjacency_product_by_loop(graph: Graph):
+    """x -> A x, each entry summed as 0.0 + x_j + ... over the vertex's
+    neighbours in ascending order (neighbors_of), one Python add at a time."""
+    rows = neighbors_of(graph)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        xs = x.tolist()
+        out = []
+        for row in rows:
+            acc = 0.0
+            for j in row:
+                acc += xs[j]
+            out.append(acc)
+        return np.array(out)
+
+    return product
 
 
 def apply_by_add_at(arrays, x: np.ndarray, block: int) -> np.ndarray:

@@ -161,6 +161,26 @@ class TestCentralityCommand:
         assert code == 3 and out == ""
         assert f"exceeds the {SC_SIZE_LIMIT} limit" in err
 
+    @pytest.mark.parametrize("command", ["centrality", "compare"])
+    def test_oversized_sc_is_refused_before_any_measure_runs(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        """bc ahead of sc in the list never runs on a graph over SC's limit;
+        a usage error in the same command still comes first."""
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, SC_SIZE_LIMIT + 1)))
+
+        def refuse(graph):
+            raise AssertionError("betweenness ran before the size check")
+
+        monkeypatch.setattr(tricent.cli, "betweenness_centrality", refuse)
+        code, out, err = run(capsys, command, "--input", str(path), "--measure", "bc,sc")
+        assert code == 3 and out == ""
+        assert f"n = {SC_SIZE_LIMIT + 1} exceeds the {SC_SIZE_LIMIT} limit" in err
+        code, out, err = run(capsys, command, "--input", str(path), "--measure", "bc,sc,x")
+        assert (code, out) == (2, "")
+        assert "unknown measure 'x'" in err
+
     def test_deterministic_output(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -196,7 +216,7 @@ class TestCentralityCommand:
             "--measure", "atec",
         )
         assert code == 4
-        assert "no convergence" in err
+        assert "no convergence" in err and "at iteration 1" in err
 
     def test_bad_tol_is_usage_error(self, capsys, k3_file, monkeypatch):
         # checked before any solve: nan would burn the whole iteration budget,

@@ -116,3 +116,17 @@ def test_every_import_is_read_in_its_module():
             if name not in read
         ]
     assert unused == []
+
+
+def test_only_the_dense_measures_build_an_adjacency_matrix():
+    """The n x n adjacency matrix is read by SC's eigendecomposition and the
+    Laplacian alone; every other path in src/ works on the CSR."""
+    readers = {
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"  # re-exports the name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and references(node)["adjacency_matrix"]
+    }
+    assert readers == {"centrality.py:laplacian_matrix", "centrality.py:subgraph_centrality"}

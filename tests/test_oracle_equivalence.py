@@ -61,6 +61,7 @@ import oracles
 from oracles import (
     OracleGraph,
     adjacency_of,
+    adjacency_product_by_loop,
     apply_by_add_at,
     average_ranks,
     betweenness_by_loop,
@@ -413,6 +414,26 @@ def test_triangle_ranking_matches_loop_ranking(graph):
         want = rank_triangles("i", {"alpha": 0.2}, graph, triangles, scores, tie_tol)
         assert got.entries == want.entries
         assert got.params == want.params
+
+
+@pytest.mark.parametrize("name", ["karate", "celegans-metabolic"])
+def test_oracle_triangle_ranking_reads_like_the_library(name):
+    """top, score_of and rank_of of the loop ranking, ties included."""
+    graph = load_dataset(name)
+    triangles = enumerate_triangles(graph)
+    degrees = degree_centrality(graph).scores
+    got = triangle_importance(graph, triangles, degrees)
+    tri = triangles.triangle_array
+    sums = degrees[tri[:, 0]] + degrees[tri[:, 1]] + degrees[tri[:, 2]]
+    want = rank_triangles("triangle-importance", {}, graph, triangles, sums, TRIANGLE_TIE_TOL)
+    ranks = [entry.rank for entry in want.entries]
+    assert len(set(ranks)) < len(ranks)  # integer degree sums tie
+    for k in (0, 1, 10, len(want)):
+        assert want.top(k) == got.top(k)
+    for entry in want.entries:
+        corners = entry.vertices[::-1]
+        assert want.score_of(corners) == got.score_of(corners) == entry.score
+        assert want.rank_of(corners) == got.rank_of(corners) == entry.rank
 
 
 def test_cached_index_arrays_are_read_only(g14, g14_triangles):
@@ -878,6 +899,11 @@ def test_eigenvector_centrality_matches_seed_loop(monkeypatch, graph):
     got = eigenvector_centrality(graph)
     want = eigenvector_centrality_by_loop(graph)
     assert got.scores.tobytes() == want.scores.tobytes()
+    # the loop product is the dense one, up to the rounding of its order
+    x = want.scores
+    a_x = adjacency_of(graph) @ x
+    rounding = 2 * graph.n * np.finfo(float).eps * a_x  # sums of at most n terms
+    assert np.all(np.abs(adjacency_product_by_loop(graph)(x) - a_x) <= rounding)
     assert got.ranking == want.ranking
     assert got.meta.keys() == want.meta.keys()
     for key, value in want.meta.items():
@@ -898,7 +924,7 @@ def test_solve_spectral_matches_seed_loop(monkeypatch, graph):
     triangles = enumerate_triangles(graph)
     x0 = np.linspace(1.0, 2.0, graph.n)
     for alpha in (1.0, 0.5, 0.01):
-        for kwargs in ({}, {"x0": x0, "shift": 2.0, "max_iter": 3000}, {"max_iter": 2}):
+        for kwargs in ({}, {"x0": x0, "max_iter": 3000}, {"max_iter": 2}):
             got, got_calls = recorded_solve(
                 solve_spectral, AlphaTriangleOperator(graph, triangles, alpha), **kwargs
             )
@@ -917,8 +943,7 @@ def test_solve_spectral_matches_seed_loop(monkeypatch, graph):
             assert len(got_calls) == steps
             for (gx, gax), (wx, wax) in zip(got_calls, want_calls[:steps]):
                 assert gx.tobytes() == wx.tobytes() and gax.tobytes() == wax.tobytes()
-            shift = kwargs.get("shift", tensor.DEFAULT_SHIFT)
-            brackets = collatz_wielandt_brackets(got_calls, shift=shift)
+            brackets = collatz_wielandt_brackets(got_calls)
             assert [v.hex() for v in brackets[-1]] == [v.hex() for v in got.bracket]
             assert all(hi - lo >= tensor.DEFAULT_TOL for lo, hi in brackets[:-1])
 
@@ -936,6 +961,55 @@ def test_solver_calls_apply_through_the_instance(karate):
     result = solve_spectral(op)
     assert len(calls) == result.iterations  # one per step; the residual reuses the last
     assert calls[-1].tobytes() == result.x.tobytes()
+
+
+def small_connected_graphs() -> list[Graph]:
+    """Seeded random connected graphs of 2 to 11 vertices, trees to near-complete."""
+    rng = random.Random(48)
+    return [
+        random_connected_graph(rng, n, p) for n in range(2, 12) for p in (0.0, 0.3, 0.9)
+    ]
+
+
+@pytest.mark.parametrize("depth", [tensor._ANDERSON_DEPTH, 0], ids=["anderson", "power"])
+def test_tolerance_within_rounding_fails_at_the_first_iteration(monkeypatch, depth):
+    """tol 1e-300 is below the rounding of every bracket, so every solve
+    refuses it at iteration 1; none meets it with a bracket that rounding
+    closed (regular graphs give width 0 at once). At depth 0 the refusal is
+    the loop oracle's, message and bracket alike."""
+    monkeypatch.setattr(tensor, "_ANDERSON_DEPTH", depth)
+    for graph in small_connected_graphs():
+        triangles = enumerate_triangles(graph)
+        for alpha in (1.0, 0.5, 0.01):
+            op = AlphaTriangleOperator(graph, triangles, alpha)
+            with pytest.raises(ConvergenceError, match="no convergence") as got:
+                solve_spectral(op, tol=1e-300)
+            assert got.value.iterations == 1
+            if depth == 0:
+                with pytest.raises(ConvergenceError) as want:
+                    solve_spectral_by_loop(op, tol=1e-300)
+                assert str(got.value) == str(want.value)
+                assert got.value.bracket == want.value.bracket
+                assert want.value.iterations == 1
+        with pytest.raises(ConvergenceError, match="no convergence") as got:
+            eigenvector_centrality(graph, tol=1e-300)
+        assert got.value.iterations == 1
+        if depth == 0:
+            with pytest.raises(ConvergenceError) as want:
+                eigenvector_centrality_by_loop(graph, tol=1e-300)
+            assert str(got.value) == str(want.value)
+            assert got.value.bracket == want.value.bracket
+
+
+def test_eigenvector_centrality_builds_no_dense_matrix(monkeypatch, no_dense_adjacency):
+    """EC on a 3000-vertex graph sums on the CSR, bitwise as the per-row loop."""
+    monkeypatch.setattr(tensor, "_ANDERSON_DEPTH", 0)  # the seed's power iteration
+    graph = holme_kim_graph(random.Random(3), 3000)
+    got = eigenvector_centrality(graph)
+    want = eigenvector_centrality_by_loop(graph)
+    assert got.scores.tobytes() == want.scores.tobytes()
+    for key, value in want.meta.items():
+        assert repr(got.meta[key]) == repr(value), key
 
 
 # --- the Anderson-mixed default against the power loop ----------------------
@@ -991,12 +1065,11 @@ def test_anderson_solve_matches_power_loop(graph):
 
 @pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_anderson_eigenvector_centrality_matches_power_loop(graph):
-    a = adjacency_matrix(graph)
-    matrix = types.SimpleNamespace(n=graph.n, apply=lambda x: a @ x)
+    matrix = types.SimpleNamespace(n=graph.n, apply=adjacency_product_by_loop(graph))
     calls = record_apply(matrix)
     got = tensor._shifted_power(matrix, 2)
     assert_anderson_result(got, calls, order=2)
-    lam = float(np.linalg.eigvalsh(a)[-1])
+    lam = float(np.linalg.eigvalsh(adjacency_of(graph))[-1])
     lo, hi = got.bracket
     assert lo - rounding_slack(lam) <= lam <= hi + rounding_slack(lam)
     report = eigenvector_centrality(graph)
