@@ -35,7 +35,9 @@ from .tensor import (
     _shifted_power,
 )
 
-SC_SIZE_LIMIT = 5000
+# largest vertex count admitted to dense n x n work: subgraph centrality's
+# eigh and the Fiedler vector's Laplacian
+DENSE_SIZE_LIMIT = 5000
 
 # array slots per block of the level-synchronous Brandes; a source takes
 # about n + 2m of them (its row of the block's arrays and of its CSR), so a
@@ -329,11 +331,12 @@ def _brandes_by_loop(graph: Graph, exact: bool) -> np.ndarray:
     return np.array([float(b / 2) for b in bc])
 
 
-def _check_sc_size(graph: Graph) -> None:
-    if graph.n > SC_SIZE_LIMIT:
+def _check_dense_size(graph: Graph, what: str) -> None:
+    """ValueError naming what if graph is over DENSE_SIZE_LIMIT vertices."""
+    if graph.n > DENSE_SIZE_LIMIT:
         raise ValueError(
-            f"subgraph centrality is dense-eigendecomposition bound; "
-            f"n = {graph.n} exceeds the {SC_SIZE_LIMIT} limit"
+            f"{what} is dense-eigendecomposition bound; "
+            f"n = {graph.n} exceeds the {DENSE_SIZE_LIMIT} limit"
         )
 
 
@@ -343,7 +346,7 @@ def subgraph_centrality(graph: Graph) -> CentralityReport:
     Full symmetric eigendecomposition of the adjacency matrix; counts closed
     walks of every length from i weighted by 1/k!.
     """
-    _check_sc_size(graph)
+    _check_dense_size(graph, "subgraph centrality")
     eigenvalues, vectors = np.linalg.eigh(adjacency_matrix(graph))
     scores = (vectors**2) @ np.exp(eigenvalues)
     return make_report("sc", {}, graph.labels, scores, "raw")
@@ -361,12 +364,14 @@ def fiedler_vector(graph: Graph, tol: float = 1e-8) -> np.ndarray:
     comes from the full eigendecomposition (eigh). The sign is fixed so the
     first component larger than tol in magnitude is positive. The residual
     ||L v - lambda_2 v||_inf is checked against tol; lambda_2 is recoverable
-    as v @ L @ v.
+    as v @ L @ v. A graph over DENSE_SIZE_LIMIT vertices raises ValueError
+    before the dense Laplacian is built.
     """
     if graph.n < 2:
         raise GraphValidationError(f"Fiedler vector needs at least two vertices, got {graph.n}")
     if not is_connected(graph):
         raise NotConnectedError("Fiedler vector needs a connected graph")
+    _check_dense_size(graph, "Fiedler vector")
     lap = laplacian_matrix(graph)
     eigenvalues = np.linalg.eigvalsh(lap)
     lam2 = float(eigenvalues[1])

@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .analysis import (
     triangle_importance,
 )
 from .centrality import (
-    _check_sc_size,
+    _check_dense_size,
     betweenness_centrality,
     degree_centrality,
     eigenvector_centrality,
@@ -63,8 +64,17 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.10g}"
+# floats print at 10 significant digits; %-formatting spells nan, inf and -0
+# as f"{x:.10g}" does
+_fmt = "%.10g".__mod__
+# json.dumps's spelling of the floats that JSON lacks
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# stands where _write_json splices an array into a JSON skeleton; no skeleton
+# string holds a NUL, so its encoding is found nowhere else
+_SPLICE = "\0"
+# table rows are formatted this many at a time, so only one block's cell
+# texts are alive at once
+_ROW_BLOCK = 1 << 10
 
 
 def _csv_field(text: str) -> str:
@@ -75,7 +85,7 @@ def _csv_field(text: str) -> str:
 
 
 def _csv_cell(value) -> str:
-    """One CSV cell: floats at 10 significant digits, tuples ;-joined."""
+    """One CSV cell outside a table: floats at 10 significant digits, tuples ;-joined."""
     if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, tuple):
@@ -83,13 +93,33 @@ def _csv_cell(value) -> str:
     return _csv_field(str(value))
 
 
-def _csv(columns, rows) -> str:
-    """A CSV header line and one line per row."""
-    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (columns, *rows))
+def _cell_blocks(columns, column_texts):
+    """Per block of _ROW_BLOCK rows, column_texts of each column's slice."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        yield [column_texts(column[start : start + _ROW_BLOCK]) for column in columns]
+
+
+def _csv_column(column: np.ndarray) -> list[str]:
+    """The CSV fields of a float, int or label column, formatted at once."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return list(map(_fmt, values))
+    if column.dtype.kind in "iu":
+        return list(map(int.__repr__, values))
+    return list(map(_csv_field, values))
+
+
+def _csv(names, columns) -> str:
+    """A CSV header line of names and one line per row of the equal-length columns."""
+    text = [",".join(map(_csv_field, names)) + "\n"]
+    for cells in _cell_blocks(columns, _csv_column):
+        text.append("".join(map("%s\n".__mod__, map(",".join, zip(*cells)))))
+    return "".join(text)
 
 
 def _json_cell(value):
-    """One JSON value: floats at 10 significant digits, tuples as lists, dicts by value."""
+    """One JSON value outside a table: floats at 10 significant digits, tuples
+    as lists, dicts by value."""
     if isinstance(value, float):
         return float(_fmt(value))
     if isinstance(value, tuple):
@@ -99,9 +129,40 @@ def _json_cell(value):
     return value
 
 
-def _json_rows(columns, rows) -> list[dict]:
-    """One JSON object per row, keyed by column."""
-    return [dict(zip(columns, map(_json_cell, row))) for row in rows]
+def _json_column(column: np.ndarray) -> list[str]:
+    """The JSON texts of a float, int or label column, as json.dumps writes
+    _json_cell of each cell."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        texts = list(map(float.__repr__, map(float, map(_fmt, values))))
+        if not _JSON_NONFINITE.keys().isdisjoint(texts):  # rounding can overflow too
+            texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+        return texts
+    if column.dtype.kind in "iu":
+        return list(map(int.__repr__, values))
+    return list(map(encode_basestring_ascii, values))
+
+
+def _json_array(keys, columns, indent: str) -> str:
+    """The rows of equal-length columns as json.dumps(indent=2, sort_keys=True)
+    writes an array on a line indented by indent: one object per row, keyed
+    by keys, or one array per row when keys is None."""
+    if len(columns[0]) == 0:
+        return "[]"
+    outer, row, cell = (f"\n{indent}{'  ' * depth}" for depth in range(3))
+    if keys is None:
+        fields, brackets = ["%s"] * len(columns), "[]"
+    else:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        columns = [columns[i] for i in order]
+        fields = [encode_basestring_ascii(keys[i]).replace("%", "%%") + ": %s" for i in order]
+        brackets = "{}"
+    template = brackets[0] + cell + f",{cell}".join(fields) + row + brackets[1]
+    blocks = [
+        f",{row}".join(map(template.__mod__, zip(*cells)))
+        for cells in _cell_blocks(columns, _json_column)
+    ]
+    return "[" + row + f",{row}".join(blocks) + outer + "]"
 
 
 def _label_list(text: str) -> list[str]:
@@ -167,8 +228,17 @@ def _write(text: str, path: str | None):
         Path(path).write_text(text)
 
 
-def _write_json(payload, path: str | None):
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+def _write_json(payload, path: str | None, tables=()):
+    """payload as JSON, indented by 2 with sorted keys. Each _SPLICE string in
+    payload, in document order, stands for the next of tables, (keys or None,
+    columns), written as _json_array writes it; json.dumps sees only the rest."""
+    pieces = json.dumps(payload, indent=2, sort_keys=True).split(json.dumps(_SPLICE))
+    text = [pieces[0]]
+    for (keys, columns), piece in zip(tables, pieces[1:], strict=True):
+        line = text[-1][text[-1].rfind("\n") + 1 :]  # the line that opens the array
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        text += (_json_array(keys, columns, indent), piece)
+    _write("".join(text) + "\n", path)
 
 
 def _multi_path(base: str, suffix: str) -> str:
@@ -177,7 +247,7 @@ def _multi_path(base: str, suffix: str) -> str:
 
 
 def _write_tables(args, tables):
-    """Write (comment, suffix, meta, columns, rows) tables in args.format.
+    """Write (comment, suffix, meta, names, columns) tables in args.format.
 
     JSON is one {"meta", "rows"} document per table, a list when there are
     several. CSV is one stream of tables, each under its "# comment" line,
@@ -185,19 +255,17 @@ def _write_tables(args, tables):
     table goes bare to its own file, named by its suffix.
     """
     if args.format == "json":
-        docs = [
-            {"meta": _json_cell(meta), "rows": _json_rows(columns, rows)}
-            for _, _, meta, columns, rows in tables
-        ]
-        _write_json(docs[0] if len(docs) == 1 else docs, args.output)
+        docs = [{"meta": _json_cell(meta), "rows": _SPLICE} for _, _, meta, _, _ in tables]
+        arrays = [(names, columns) for _, _, _, names, columns in tables]
+        _write_json(docs[0] if len(docs) == 1 else docs, args.output, arrays)
     elif args.output is None or len(tables) == 1:
         text = "".join(
-            f"# {comment}\n" + _csv(columns, rows) for comment, _, _, columns, rows in tables
+            f"# {comment}\n" + _csv(names, columns) for comment, _, _, names, columns in tables
         )
         _write(text, args.output)
     else:
-        for _, suffix, _, columns, rows in tables:
-            _write(_csv(columns, rows), _multi_path(args.output, suffix))
+        for _, suffix, _, names, columns in tables:
+            _write(_csv(names, columns), _multi_path(args.output, suffix))
 
 
 def _parse_measures(text: str, default_alpha: float | None) -> list[tuple[str, float | None]]:
@@ -246,7 +314,7 @@ def cmd_centrality(args) -> int:
     if not measures:
         raise UsageError("--measure needs at least one measure")
     if any(name == "sc" for name, _ in measures):  # refuse before any measure runs
-        _check_sc_size(graph)
+        _check_dense_size(graph, "subgraph centrality")
     tables = []
     for name, alpha in measures:
         report = _compute_measure(name, alpha, graph, tol, args.per_component)
@@ -267,7 +335,7 @@ def cmd_centrality(args) -> int:
         for key in ("iterations", "residual", "rho", "eigenvalue", "components"):
             if key in report.meta:
                 meta[key] = report.meta[key]
-        tables.append((comment, suffix, meta, RankedVertex._fields, report.ranking))
+        tables.append((comment, suffix, meta, RankedVertex._fields, report.ranking.columns))
     _write_tables(args, tables)
     return 0
 
@@ -287,13 +355,14 @@ def cmd_sweep(args) -> int:
     order = np.argsort(label_positions(graph.labels)).tolist()
     matrix = np.stack([r.scores for r in reports], axis=1)  # vertices x alphas
 
-    if args.top:
+    if args.top:  # a row per alpha: the alpha, then its top labels
         top = min(args.top, graph.n)
-        columns = ["alpha", *(f"rank{k}" for k in range(1, top + 1))]
-        rows = [(a, *report.top(top)) for a, report in zip(alphas, reports)]
-    else:
-        columns = ["label", *(f"alpha={_fmt(a)}" for a in alphas)]
-        rows = [(graph.labels[i], *matrix[i]) for i in order]
+        names = ["alpha", *(f"rank{k}" for k in range(1, top + 1))]
+        tops = np.stack([report.ranking.columns[0][:top] for report in reports], axis=1)
+        columns = [np.array(alphas), *tops]
+    else:  # a row per vertex, in label order: the label, then its scores
+        names = ["label", *(f"alpha={_fmt(a)}" for a in alphas)]
+        columns = [np.array(graph.labels, dtype=object)[order], *matrix[order].T]
 
     if args.format == "json":
         meta = {
@@ -302,10 +371,10 @@ def cmd_sweep(args) -> int:
             "tolerance": tol,
             "dataset_hash": digest,
         }
-        rows = [_json_cell(row) for row in rows]
-        _write_json({"meta": _json_cell(meta), "columns": columns, "rows": rows}, args.output)
+        payload = {"meta": _json_cell(meta), "columns": names, "rows": _SPLICE}
+        _write_json(payload, args.output, [(None, columns)])
     else:
-        _write(_csv(columns, rows), args.output)
+        _write(_csv(names, columns), args.output)
 
     if args.svg:
         labels = [graph.labels[i] for i in order]
@@ -320,6 +389,8 @@ def cmd_triangles(args) -> int:
     tol = _tolerance(args)
     _require_connected(graph)
     triangles = enumerate_triangles(graph)
+    if args.with_cycle_index and len(triangles):  # refuse before atec runs
+        _check_dense_size(graph, "Fiedler vector")
     if len(triangles) == 0:
         print("warning: graph has no triangles; rankings are empty", file=sys.stderr)
     with warnings.catch_warnings():
@@ -333,13 +404,13 @@ def cmd_triangles(args) -> int:
             rankings.append(cycle_index_fiedler(graph, triangles))
 
     tables = []
-    columns = ("v1", "v2", "v3", "score", "rank")
+    names = ("v1", "v2", "v3", "score", "rank")
     for ranking in rankings:
         meta = {"index": ranking.index, "dataset_hash": digest}
         if "alpha" in ranking.params:
             meta["alpha"] = ranking.params["alpha"]
-        rows = [(*e.vertices, e.score, e.rank) for e in ranking.entries]
-        tables.append((f"index={ranking.index}", ranking.index, meta, columns, rows))
+        comment, columns = f"index={ranking.index}", ranking.entries.columns
+        tables.append((comment, ranking.index, meta, names, columns))
     _write_tables(args, tables)
     return 0
 
@@ -351,13 +422,14 @@ def cmd_connectivity(args) -> int:
         raise UsageError("--remove needs at least one vertex label")
     result = removal_experiment(graph, remove)
     print(result.summary)
-    columns = ("removed", "components_before", "components_after", "sizes_before", "sizes_after")
-    row = tuple(getattr(result, column) for column in columns)
+    names = ("removed", "components_before", "components_after", "sizes_before", "sizes_after")
+    values = tuple(getattr(result, name) for name in names)
     if args.format == "json":
-        fields = _json_cell(dict(zip(columns, row)))
+        fields = _json_cell(dict(zip(names, values)))
         _write_json({"meta": {"dataset_hash": digest}, **fields}, args.output)
     elif args.output:
-        _write(_csv(columns, [row]), args.output)
+        lines = (map(_csv_field, names), map(_csv_cell, values))
+        _write("".join(",".join(line) + "\n" for line in lines), args.output)
     return 0
 
 
@@ -379,16 +451,14 @@ def cmd_stats(args) -> int:
         "triangles": summary(stats.triangle_count),
         "neighbor_triangles": summary(stats.neighbor_triangles),
     }
-    columns = ("label", "degree", "triangles", "neighbor_triangles")
-    rows = [
-        (stats.labels[i], stats.degree[i], stats.triangle_count[i], stats.neighbor_triangles[i])
-        for i in order
-    ]
+    names = ("label", "degree", "triangles", "neighbor_triangles")
+    counts = (stats.degree, stats.triangle_count, stats.neighbor_triangles)
+    columns = [np.array(stats.labels, dtype=object)[order], *(np.array(c)[order] for c in counts)]
     if args.format == "json":
         meta = {"dataset_hash": digest, "summary": summaries}
-        _write_json({"meta": _json_cell(meta), "rows": _json_rows(columns, rows)}, args.output)
+        _write_json({"meta": _json_cell(meta), "rows": _SPLICE}, args.output, [(names, columns)])
     else:
-        text = _csv(columns, rows) + "".join(
+        text = _csv(names, columns) + "".join(
             f"# {key} " + " ".join(f"{k}={_csv_cell(v)}" for k, v in s.items()) + "\n"
             for key, s in summaries.items()
         )
@@ -403,7 +473,7 @@ def cmd_compare(args) -> int:
     if len(measures) < 2:
         raise UsageError("compare needs at least two measures")
     if any(name == "sc" for name, _ in measures):
-        _check_sc_size(graph)
+        _check_dense_size(graph, "subgraph centrality")
     names, vectors = [], []
     for name, alpha in measures:
         report = _compute_measure(name, alpha, graph, tol, None)
@@ -418,13 +488,12 @@ def cmd_compare(args) -> int:
                 vectors[i], vectors[j], method=args.method
             )
 
-    rows = [(name, *matrix[i]) for i, name in enumerate(names)]
     if args.format == "json":
         meta = {"method": args.method, "dataset_hash": digest}
-        payload = {"meta": meta, "measures": names, "matrix": [_json_cell(r[1:]) for r in rows]}
-        _write_json(payload, args.output)
+        payload = {"meta": meta, "measures": names, "matrix": _SPLICE}
+        _write_json(payload, args.output, [(None, list(matrix.T))])
     else:
-        _write(_csv(("measure", *names), rows), args.output)
+        _write(_csv(("measure", *names), [np.array(names, dtype=object), *matrix.T]), args.output)
 
     if args.svg:
         Path(args.svg).write_text(scatter_matrix(names, vectors))

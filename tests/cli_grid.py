@@ -91,13 +91,17 @@ def clustered_text(n: int, seed: int) -> str:
 TEXTS = {
     "clustered-2000": clustered_text(2000, 11),
     "odd-labels": 'a,b q"r\nq"r c\nc a,b\nc d\nd e\ne c\n',
+    # labels JSON escapes: non-ASCII (one outside the BMP) and backslashes
+    "escapes": "é ü\nü \\\n\\ é\n\\ a\\b\na\\b 日本\n日本 \\\n日本 😀\n😀 é\n",
     "disconnected": "a b\nb c\na c\nd e\ne f\nd f\ng h\n",
     "triangle-free": "1 2\n2 3\n3 4\n4 5\n",
     "duplicate-edges": "1 2\n2 1\n2 3\n3 1\n3 3\n3 4\n1 2\n",
     "slow-gap": "1 2\n2 3\n1 3\n3 4\n",
     "malformed": "a b\na b c\n",
 }
-TABLE_INPUTS = (*DATASETS, "odd-labels", "disconnected", "triangle-free", "duplicate-edges")
+TABLE_INPUTS = (
+    *DATASETS, "odd-labels", "escapes", "disconnected", "triangle-free", "duplicate-edges"
+)
 # the --remove value of each input's connectivity runs
 REMOVE = {
     "karate": "1,34",
@@ -105,6 +109,7 @@ REMOVE = {
     "celegans-metabolic": "147,186,408",
     "paper-g14": "8",
     "odd-labels": '"a,b",c',
+    "escapes": "ü,\\",
     "disconnected": "b",
     "triangle-free": "3",
     "duplicate-edges": "3",

@@ -10,9 +10,11 @@ the rank correlations, the per-caller graph builders, the two power loops
 (with their per-row adjacency product and their refusal of a tol within
 rounding), the adjacency matrix, the per-source betweenness loop, the
 triangle-centrality and neighbour-triangle-sum loops, the eager triangle
-incidence build and the two-digraph weak-irreducibility check are the
-reference the library versions must match exactly. record_apply records the
-iterates a solver takes, so a test can rebuild each iterate's bracket.
+incidence build, the two-digraph weak-irreducibility check and the
+cell-at-a-time CSV and JSON table writers (csv_by_cells, and json_rows for
+json.dumps) are the reference the library versions must match exactly.
+record_apply records the iterates a solver takes, so a test can rebuild each
+iterate's bracket.
 
 The oracles read a graph only through its edge and triangle rows
 (Graph.edge_array, TriangleSet.triangle_array): neighbours come from a loop
@@ -1067,3 +1069,46 @@ def layout_arrays(layout) -> list[np.ndarray]:
     return [layout.position, *(arr for block in layout.slices for arr in block[:2])] + [
         arr for block in layout.tail for arr in block
     ]
+
+
+def csv_field(text: str) -> str:
+    """text as one CSV field, quoted per RFC 4180 when it holds a comma, a
+    quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: floats at 10 significant digits, tuples ;-joined."""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    if isinstance(value, tuple):
+        value = ";".join(map(str, value))
+    return csv_field(str(value))
+
+
+def csv_by_cells(names: Sequence[str], rows: Iterable[tuple]) -> str:
+    """A CSV table written a cell at a time: the header line of names, then
+    one line per row, every cell through csv_cell."""
+    return "".join(",".join(map(csv_cell, row)) + "\n" for row in (names, *rows))
+
+
+def json_cell(value):
+    """One JSON value: floats at 10 significant digits, tuples as lists,
+    dicts by value."""
+    if isinstance(value, float):
+        return float(f"{value:.10g}")
+    if isinstance(value, tuple):
+        return [json_cell(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_cell(v) for k, v in value.items()}
+    return value
+
+
+def json_rows(keys: Sequence[str] | None, rows: Iterable[tuple]) -> list:
+    """One dict of json_cell values per row, keyed by keys, or one list per
+    row when keys is None."""
+    if keys is None:
+        return [json_cell(tuple(row)) for row in rows]
+    return [dict(zip(keys, map(json_cell, row))) for row in rows]

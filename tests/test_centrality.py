@@ -11,6 +11,7 @@ from tricent import (
     GraphValidationError,
     NotConnectedError,
     betweenness_centrality,
+    cycle_index_fiedler,
     degree_centrality,
     eigenvector_centrality,
     enumerate_triangles,
@@ -21,7 +22,7 @@ from tricent import (
     subgraph_centrality,
     triangle_centrality,
 )
-from tricent.centrality import SC_SIZE_LIMIT
+from tricent.centrality import DENSE_SIZE_LIMIT
 
 from oracles import (
     adjacency_of,
@@ -258,6 +259,24 @@ class TestRelabelingInvariance:
 
 def test_sc_size_guard(no_dense_adjacency):
     """One vertex over the limit is refused before any n x n array exists."""
-    limit = f"n = {SC_SIZE_LIMIT + 1} exceeds the {SC_SIZE_LIMIT} limit"
+    limit = f"n = {DENSE_SIZE_LIMIT + 1} exceeds the {DENSE_SIZE_LIMIT} limit"
     with pytest.raises(ValueError, match=limit):
-        subgraph_centrality(path_graph(SC_SIZE_LIMIT + 1))
+        subgraph_centrality(path_graph(DENSE_SIZE_LIMIT + 1))
+
+
+def test_fiedler_size_guard(no_dense_adjacency):
+    """A path one vertex over the limit, with one chord closing a triangle, is
+    refused by the Fiedler vector and the cycle index before any n x n array
+    exists."""
+    n = DENSE_SIZE_LIMIT + 1
+    graph = Graph.from_edge_labels([*((str(i), str(i + 1)) for i in range(1, n)), ("1", "3")])
+    triangles = enumerate_triangles(graph)
+    assert len(triangles) == 1
+    limit = (
+        f"Fiedler vector is dense-eigendecomposition bound; "
+        f"n = {n} exceeds the {DENSE_SIZE_LIMIT} limit"
+    )
+    with pytest.raises(ValueError, match=limit):
+        fiedler_vector(graph)
+    with pytest.raises(ValueError, match=limit):
+        cycle_index_fiedler(graph, triangles)

@@ -4,18 +4,22 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tricent
-from tricent import dataset_path
-from tricent.centrality import SC_SIZE_LIMIT
+from tricent import dataset_path, removal_experiment
+from tricent.centrality import DENSE_SIZE_LIMIT
 from tricent.cli import build_parser, main
 
 import cli_grid
+import oracles
 
 
 @pytest.fixture()
@@ -156,10 +160,10 @@ class TestCentralityCommand:
         """SC on a path one vertex over the limit exits 3, naming the limit,
         without building the n x n adjacency matrix."""
         path = tmp_path / "path.edges"
-        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, SC_SIZE_LIMIT + 1)))
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, DENSE_SIZE_LIMIT + 1)))
         code, out, err = run(capsys, "centrality", "--input", str(path), "--measure", "sc")
         assert code == 3 and out == ""
-        assert f"exceeds the {SC_SIZE_LIMIT} limit" in err
+        assert f"exceeds the {DENSE_SIZE_LIMIT} limit" in err
 
     @pytest.mark.parametrize("command", ["centrality", "compare"])
     def test_oversized_sc_is_refused_before_any_measure_runs(
@@ -168,7 +172,7 @@ class TestCentralityCommand:
         """bc ahead of sc in the list never runs on a graph over SC's limit;
         a usage error in the same command still comes first."""
         path = tmp_path / "path.edges"
-        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, SC_SIZE_LIMIT + 1)))
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, DENSE_SIZE_LIMIT + 1)))
 
         def refuse(graph):
             raise AssertionError("betweenness ran before the size check")
@@ -176,7 +180,7 @@ class TestCentralityCommand:
         monkeypatch.setattr(tricent.cli, "betweenness_centrality", refuse)
         code, out, err = run(capsys, command, "--input", str(path), "--measure", "bc,sc")
         assert code == 3 and out == ""
-        assert f"n = {SC_SIZE_LIMIT + 1} exceeds the {SC_SIZE_LIMIT} limit" in err
+        assert f"n = {DENSE_SIZE_LIMIT + 1} exceeds the {DENSE_SIZE_LIMIT} limit" in err
         code, out, err = run(capsys, command, "--input", str(path), "--measure", "bc,sc,x")
         assert (code, out) == (2, "")
         assert "unknown measure 'x'" in err
@@ -374,6 +378,27 @@ class TestTrianglesCommand:
         cycle = sections[2].strip().splitlines()
         assert importance[2].startswith("147,186,408,")
         assert cycle[2].startswith("56,153,217,")
+
+    def test_oversized_cycle_index_is_refused_before_atec(
+        self, capsys, tmp_path, monkeypatch, no_dense_adjacency
+    ):
+        """triangles --with-cycle-index on a path one vertex over the dense
+        limit, with one chord closing a triangle, exits 3 with the Fiedler
+        vector's size message before atec runs."""
+        n = DENSE_SIZE_LIMIT + 1
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, n)) + "1 3\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("atec ran before the size check")
+
+        monkeypatch.setattr(tricent.cli, "atec", refuse)
+        code, out, err = run(capsys, "triangles", "--input", str(path), "--with-cycle-index")
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: Fiedler vector is dense-eigendecomposition bound; "
+            f"n = {n} exceeds the {DENSE_SIZE_LIMIT} limit\n"
+        )
 
 
 class TestConnectivityCommand:
@@ -794,6 +819,162 @@ def test_cli_sweep_finds_the_components_once(capsys, monkeypatch):
     )
     assert code == 0 and out
     assert len(partitioned) == 1
+
+
+# labels that need escaping: CSV quotes a comma or a quote, JSON escapes a
+# quote, a backslash, a control character and everything outside ASCII
+ESCAPING_LABELS = ("a,b", 'q"r', "back\\slash", "bell\x07", "é", "日本", "😀", "%s", "7")
+
+
+def escaping_text(graph, shift: int = 0) -> str:
+    """graph's edge text with vertex i labelled from ESCAPING_LABELS."""
+    pick = len(ESCAPING_LABELS)
+    name = [f"{ESCAPING_LABELS[(i + shift) % pick]}{i // pick}" for i in range(graph.n)]
+    return "".join(f"{name[u]} {name[v]}\n" for u, v in graph.edge_array.tolist())
+
+
+@pytest.fixture(scope="module")
+def escaping_inputs(tmp_path_factory):
+    """Seeded edge files with escaping labels: a connected graph with
+    triangles, a tree (no triangles), and the two side by side."""
+    rng = random.Random(23)
+    graph, tree = oracles.random_connected_graph(rng, 40), oracles.random_tree(rng, 12)
+    texts = {
+        "graph": escaping_text(graph),
+        "tree": escaping_text(tree, shift=1),
+        # the tree's labels get a "+", so the union has two components
+        "split": escaping_text(graph)
+        + escaping_text(tree).replace(" ", "+ ").replace("\n", "+\n"),
+    }
+    root = tmp_path_factory.mktemp("escaping")
+    for name, text in texts.items():
+        (root / f"{name}.edges").write_text(text)
+    return root
+
+
+def rows_of(columns) -> list[tuple]:
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def cell_writers(monkeypatch):
+    """Swap the CLI's column writers for the cell-at-a-time oracles: CSV
+    tables through oracles.csv_by_cells, and JSON with every spliced table
+    made into row dicts or lists in the payload, the whole through json.dumps."""
+
+    def write_json(payload, path, tables=()):
+        arrays = iter(tables)
+
+        def fill(value):
+            if isinstance(value, dict):
+                return {key: fill(value[key]) for key in sorted(value)}
+            if isinstance(value, list):
+                return list(map(fill, value))
+            if isinstance(value, str) and value == tricent.cli._SPLICE:
+                keys, columns = next(arrays)
+                return oracles.json_rows(keys, rows_of(columns))
+            return value
+
+        tricent.cli._write(json.dumps(fill(payload), indent=2, sort_keys=True) + "\n", path)
+
+    monkeypatch.setattr(
+        tricent.cli, "_csv", lambda names, columns: oracles.csv_by_cells(names, rows_of(columns))
+    )
+    monkeypatch.setattr(tricent.cli, "_write_json", write_json)
+
+
+WRITER_RUNS = (
+    ("graph", "centrality", "--measure", "atec:0.3,dc,ec,tc,bc,sc", "--unit-norm"),
+    ("split", "centrality", "--measure", "atec:0.5,tc", "--per-component"),
+    ("graph", "triangles", "--alpha", "0.4"),
+    ("graph", "triangles", "--with-cycle-index"),
+    ("tree", "triangles", "--with-cycle-index"),
+    ("graph", "sweep", "--alphas", "1,0.5,0.2"),
+    ("graph", "sweep", "--alphas", "1,0.2", "--top", "4"),
+    ("split", "stats"),
+    ("graph", "compare", "--measure", "atec:0.2,dc,tc,bc,sc", "--method", "kendall"),
+    ("split", "connectivity", "--remove", '"a,b0",bell\x070'),
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("run_args", WRITER_RUNS, ids=lambda r: "-".join((r[0], *r[1:3])))
+def test_column_writers_match_the_cell_oracle(
+    capsys, monkeypatch, tmp_path, escaping_inputs, run_args, fmt
+):
+    """Every table kind, to stdout and to --output files, is byte-identical
+    to what the cell-at-a-time writers make of the same tables; blocks of 7
+    rows split every table of more than 7 rows."""
+    monkeypatch.setattr(tricent.cli, "_ROW_BLOCK", 7)
+    name, *argv = run_args
+    argv = [*argv, "--input", str(escaping_inputs / f"{name}.edges"), "--format", fmt]
+
+    def outputs(kind: str) -> dict[str, str]:
+        out_dir = tmp_path / kind
+        out_dir.mkdir()
+        code, stdout, _ = run(capsys, *argv)
+        file_code, file_stdout, _ = run(capsys, *argv, "--output", str(out_dir / f"t.{fmt}"))
+        assert code == file_code == 0
+        files = {p.name: p.read_text() for p in out_dir.iterdir()}
+        return {"stdout": stdout, "stdout with --output": file_stdout, **files}
+
+    columns = outputs("columns")
+    with monkeypatch.context() as patch:
+        cell_writers(patch)
+        cells = outputs("cells")
+    assert columns == cells
+    if argv[0] == "connectivity" and fmt == "csv":  # one record, not a table
+        graph = tricent.load_edge_list(argv[argv.index("--input") + 1])
+        result = removal_experiment(graph, ["a,b0", "bell\x070"])
+        names = ("removed", "components_before", "components_after", "sizes_before", "sizes_after")
+        row = tuple(getattr(result, field) for field in names)
+        assert columns["t.csv"] == oracles.csv_by_cells(names, [row])
+
+
+def test_column_writers_match_the_cell_oracle_on_special_values(monkeypatch, tmp_path):
+    """nan, infinities, -0, the float extremes, big ints and escaping
+    labels, in CSV and in JSON at two depths, object and array rows alike,
+    in blocks of 3 rows."""
+    monkeypatch.setattr(tricent.cli, "_ROW_BLOCK", 3)
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 1e16])
+    ints = np.array([0, -1, 2**62, 7, -(2**63), 1, 2, 3])
+    labels = np.array([*ESCAPING_LABELS[:7], "\x00\x1f\\u0000"], dtype=object)
+    names = ("label", "score", "rank")
+    columns = [labels, floats, ints]
+
+    def written(kind: str) -> tuple[str, str, str]:
+        tricent.cli._write(tricent.cli._csv(names, columns), str(tmp_path / f"{kind}.csv"))
+        splice = tricent.cli._SPLICE
+        tables = [(names, columns), (None, columns), (names, [c[:0] for c in columns])]
+        docs = [{"meta": {"x": 1.5}, "rows": splice}, {"rows": splice, "b": [1]}, {"rows": splice}]
+        tricent.cli._write_json(docs, str(tmp_path / f"{kind}.json"), tables)
+        tricent.cli._write_json({"rows": splice}, str(tmp_path / f"{kind}.one.json"), tables[1:2])
+        files = (f"{kind}.csv", f"{kind}.json", f"{kind}.one.json")
+        return tuple((tmp_path / name).read_text() for name in files)
+
+    columns_text = written("columns")
+    with monkeypatch.context() as patch:
+        cell_writers(patch)
+        assert written("cells") == columns_text
+
+
+def test_json_tables_are_not_built_as_a_dict_per_row(capsys):
+    """triangles --with-cycle-index --format json on celegans (6568 triangles
+    under two indices, 0.87 MB of JSON) peaks under 6 MB of traced
+    allocations. Rows spliced in as text take about 3.9 MB, most of it the
+    dense Laplacian; a dict per row through json's indenting encoder, which
+    is pure Python, took about 10.2 MB."""
+    argv = [
+        "triangles", "--input", str(dataset_path("celegans-metabolic")),
+        "--with-cycle-index", "--format", "json",
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(capsys.readouterr().out) > 850_000
+    assert peak < 6_000_000
 
 
 def test_cli_output_matches_the_record():
