@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
@@ -215,8 +214,9 @@ def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
 def _spearman(a: np.ndarray, b: np.ndarray, tol: float) -> float:
     """Pearson correlation of the average ranks, in exact integer arithmetic.
 
-    The ranks are doubled, which scales num, da and db by 4: the Fraction
-    cancels it and the float quotient is unchanged by power-of-two scaling.
+    The ranks are doubled, which scales num, da and db by 4: the int
+    quotient num / da, rounded once from the exact rational, cancels it, and
+    the float quotient is unchanged by power-of-two scaling.
     They are descending ranks, 2(n + 1) minus the ascending ones, and that
     shift and flip on both sides leaves num, da and db the same integers.
     """
@@ -232,7 +232,7 @@ def _spearman(a: np.ndarray, b: np.ndarray, tol: float) -> float:
     if da == 0 or db == 0:
         raise ValueError("correlation is undefined: all scores tie on one side")
     if da == db:
-        return float(Fraction(num, da))  # exact rational, so perfect agreement is exactly +-1
+        return num / da  # rounded once from the exact rational: perfect agreement is exactly +-1
     return float(num) / math.sqrt(float(da) * float(db))
 
 
@@ -273,7 +273,7 @@ def _kendall_tau_b(a: np.ndarray, b: np.ndarray, tol: float) -> float:
     if untied_a == 0 or untied_b == 0:
         raise ValueError("correlation is undefined: all scores tie on one side")
     if untied_a == untied_b:
-        return float(Fraction(concordant - discordant, untied_a))
+        return (concordant - discordant) / untied_a
     return (concordant - discordant) / math.sqrt(untied_a * untied_b)
 
 

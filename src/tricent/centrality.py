@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,6 +295,8 @@ def _brandes_by_loop(graph: Graph, exact: bool) -> np.ndarray:
     """Betweenness by one Brandes pass per source over Python lists."""
     n = graph.n
     starts, neighbors = (a.tolist() for a in graph._csr)
+    if exact:  # fractions loads decimal, so only the rational mode imports it
+        from fractions import Fraction
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     bc = [zero] * n

@@ -10,7 +10,7 @@ var TRICENT_TOL overrides the default solver tolerance.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import io
 import json
 import math
 import os
@@ -37,6 +37,7 @@ from .centrality import (
     subgraph_centrality,
     triangle_centrality,
 )
+from .datasets import _sha256_hex
 from .graph import (
     Graph,
     degree_and_triangle_stats,
@@ -210,8 +211,13 @@ def _load(args) -> tuple[Graph, str]:
     path = Path(args.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return load_edge_list(path, dedupe=True), digest
+    data = path.read_bytes()
+    digest = _sha256_hex(data)
+    # parse the bytes hashed, decoded as Path.read_text decodes them, with
+    # the bytes freed before the parse starts
+    stream = io.StringIO(io.TextIOWrapper(io.BytesIO(data)).read())
+    del data
+    return load_edge_list(stream, dedupe=True), digest
 
 
 def _require_connected(graph: Graph, flag_helps: bool = False):

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .graph import Graph, load_edge_list
+
+try:  # CPython's own SHA-256 loads no OpenSSL: _sha2 from 3.12, _sha256 before
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # a build without either
+        from hashlib import sha256 as _sha256
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,11 @@ _REGISTRY = {
 }
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 of data as 64 hex digits."""
+    return _sha256(data).hexdigest()
+
+
 def dataset_names() -> list[str]:
     return sorted(_REGISTRY)
 
@@ -79,8 +91,7 @@ def dataset_path(name: str) -> Path:
 def verify_dataset(name: str) -> bool:
     """True when the bundled file's SHA-256 matches the registered hash."""
     info = dataset_info(name)
-    digest = hashlib.sha256(dataset_path(name).read_bytes()).hexdigest()
-    return digest == info.sha256
+    return _sha256_hex(dataset_path(name).read_bytes()) == info.sha256
 
 
 def load_dataset(name: str) -> Graph:

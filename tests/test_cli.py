@@ -710,13 +710,18 @@ def test_library_warnings_print_as_warning_lines(capsys, tmp_path, argv, code, e
     )
 
 
+def fresh_python(code: str) -> str:
+    """What a fresh interpreter prints to stdout running code on this package,
+    BLAS on one thread."""
+    env = dict(os.environ, **cli_grid.BLAS_ENV, PYTHONPATH=str(Path(tricent.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def modules_after(code: str) -> list[str]:
     """The names in sys.modules once a fresh interpreter has run code."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tricent.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-c", code + "\nprint(*sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
+    return fresh_python(code + "\nprint(*sys.modules)").splitlines()[-1].split()
 
 
 def heavy_modules(loaded: list[str]) -> list[str]:
@@ -746,6 +751,88 @@ def test_cli_compare_run_skips_heavy_modules(tmp_path):
     assert "tricent.centrality" in loaded
     assert heavy_modules(loaded) == []
     assert (tmp_path / "out.csv").read_text().startswith("measure,atec:0.2,dc,tc,bc,sc\n")
+
+
+# hashlib loads OpenSSL's libcrypto, and fractions loads decimal
+OPENSSL_AND_DECIMAL = ("_hashlib", "_ssl", "hashlib", "fractions", "decimal", "_decimal")
+# one run of each subcommand on a bundled dataset
+SUBCOMMAND_RUNS = {
+    "centrality": ("karate", "--alpha", "0.6", "--measure", "atec,dc,ec,tc,bc,sc"),
+    "sweep": ("karate", "--alphas", "1,0.8,0.6,0.4,0.2,0.01", "--top", "10"),
+    "triangles": ("celegans-metabolic", "--alpha", "0.2", "--with-cycle-index"),
+    "connectivity": ("celegans-metabolic", "--remove", "147,186,408"),
+    "stats": ("dolphins",),
+    "compare": ("karate", "--measure", "atec:0.2,dc,tc,bc,sc", "--method", "spearman"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_cli_run_loads_neither_openssl_nor_decimal(tmp_path, command):
+    """A whole run of each subcommand, its dataset_hash included, leaves none
+    of hashlib, OpenSSL, fractions or decimal in sys.modules."""
+    dataset, *flags = SUBCOMMAND_RUNS[command]
+    out = tmp_path / "out.json"
+    argv = [command, "--input", str(dataset_path(dataset)), *flags, "--format", "json",
+            "--output", str(out)]
+    loaded = modules_after(f"import sys\nfrom tricent.cli import main\nassert main({argv!r}) == 0")
+    assert "tricent.cli" in loaded
+    assert [m for m in OPENSSL_AND_DECIMAL if m in loaded] == []
+    payload = json.loads(out.read_text())
+    meta = (payload[0] if isinstance(payload, list) else payload)["meta"]
+    assert meta["dataset_hash"] == hashlib.sha256(dataset_path(dataset).read_bytes()).hexdigest()
+
+
+def test_exact_betweenness_imports_fractions_itself(karate):
+    """exact=True still works where nothing has loaded fractions: in a fresh
+    interpreter it gives the bits it gives here, where test_centrality checks
+    it against enumerated shortest paths, and loads fractions only then."""
+    printed = fresh_python(
+        "import sys\n"
+        "from tricent import betweenness_centrality, load_dataset\n"
+        "graph = load_dataset('karate')\n"
+        "assert 'fractions' not in sys.modules\n"
+        "print(*betweenness_centrality(graph, exact=True).scores.tolist())\n"
+        "print('fractions' in sys.modules)"
+    ).splitlines()
+    scores = np.array([float(x) for x in printed[0].split()])
+    assert printed[1] == "True"
+    assert np.array_equal(scores, tricent.betweenness_centrality(karate, exact=True).scores)
+    assert np.allclose(scores, tricent.betweenness_centrality(karate).scores, rtol=0, atol=1e-12)
+
+
+def test_input_is_read_once(capsys, monkeypatch, k3_file):
+    """The CLI opens its input once, and dataset_hash names the bytes it parsed."""
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == k3_file:
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run(
+        capsys, "centrality", "--input", str(k3_file), "--measure", "dc", "--format", "json"
+    )
+    assert code == 0
+    assert opened == ["rb"]
+    assert json.loads(out)["meta"]["dataset_hash"] == hashlib.sha256(b"1 2\n2 3\n1 3\n").hexdigest()
+
+
+def test_input_bytes_decode_as_read_text_decodes(capsys, tmp_path, k3_file):
+    """Parsed bytes keep Path.read_text's reading: universal newlines, and the
+    same UnicodeDecodeError text for bytes the encoding cannot decode."""
+    crlf = tmp_path / "crlf.edges"
+    crlf.write_bytes(b"1 2\r\n2 3\r1 3\r\n")
+    argv = ("centrality", "--measure", "atec:0.5,dc")
+    lf_out = run(capsys, *argv, "--input", str(k3_file))[1]
+    assert run(capsys, *argv, "--input", str(crlf)) == (0, lf_out, "")
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes("1 2\n2 ü\n".encode() + b"\xff\xfe 3\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        bad.read_text()
+    assert run(capsys, "stats", "--input", str(bad)) == (3, "", f"error: {exc.value}\n")
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ import math
 import random
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -641,6 +642,62 @@ def test_spearman_length_limit(monkeypatch):
     with pytest.raises(ValueError, match="at most 3 scores, got 4"):
         rank_correlation(a, b, "spearman")
     assert rank_correlation(a, b, "kendall") == oracle_correlation(a, b, "kendall")
+
+
+def equal_denominator_cases() -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Seeded score pairs whose two rankings share one tie pattern, so that
+    spearman's da == db and kendall's untied_a == untied_b: a permutation of
+    tie-free scores, a permutation of scores with exact ties, and perfect
+    agreement and disagreement."""
+    cases = []
+    for k in range(6):
+        rng = random.Random(70001 + k)
+        n = rng.randrange(4, 90)
+        distinct = np.array(rng.sample(range(10**6), n)) / 7.0
+        tied = np.array(rng.sample([float(i // 3) for i in range(n)], n))  # ties of three
+        cases += [
+            (f"tie-free-permuted-{k}", distinct, rng.sample(list(distinct), n)),
+            (f"tied-permuted-{k}", tied, rng.sample(list(tied), n)),
+            (f"agree-{k}", distinct, 3.0 * distinct + 1.0),
+            (f"disagree-{k}", tied, -tied),
+        ]
+    return [(name, a, np.array(b)) for name, a, b in cases]
+
+
+EQUAL_DENOMINATOR_CASES = equal_denominator_cases()
+
+
+@pytest.mark.parametrize(
+    "a, b", [c[1:] for c in EQUAL_DENOMINATOR_CASES], ids=[c[0] for c in EQUAL_DENOMINATOR_CASES]
+)
+def test_equal_denominators_divide_exactly(monkeypatch, a, b):
+    """On the da == db and untied_a == untied_b branches, spearman and kendall
+    are the int quotient, bitwise float(Fraction(...)) of the loop oracles;
+    perfect agreement is exactly +1 and perfect disagreement exactly -1.
+    analysis.math has no sqrt here, so the square-root branch cannot run."""
+    want = {method: oracle_correlation(a, b, method) for method in METHODS}
+    monkeypatch.setattr(analysis, "math", types.SimpleNamespace())
+    for method in METHODS:
+        got = rank_correlation(a, b, method)
+        assert got.hex() == want[method].hex(), (method, got, want[method])
+        if np.array_equal(np.argsort(a, kind="stable"), np.argsort(b, kind="stable")):
+            assert got == 1.0
+        elif np.array_equal(b, -a):
+            assert got == -1.0
+
+
+def test_int_quotient_is_the_float_of_the_fraction():
+    """a / b of ints is float(Fraction(a, b)): both round the exact rational
+    once. The denominators are positive, as the correlations' are: 0 / -b is
+    -0.0, while Fraction normalises the sign into the numerator and gives 0.0."""
+    rng = random.Random(31337)
+    for _ in range(3000):
+        b = rng.getrandbits(rng.randrange(1, 1200)) + 1
+        bound = b.bit_length() + rng.randrange(-200, 1000)  # keeps |a / b| < 2**1024
+        a = rng.getrandbits(max(bound, 1)) * rng.choice((-1, 1))
+        assert (a / b).hex() == float(Fraction(a, b)).hex(), (a, b)
+    for a, b in ((0, 3), (1, 3), (-2, 3), (2**60 + 1, 2**60), (1, 2**1074), (1, 2**1080)):
+        assert (a / b).hex() == float(Fraction(a, b)).hex(), (a, b)
 
 
 # --- one graph builder ------------------------------------------------------
