@@ -45,8 +45,9 @@ class TriangleRanking:
     the smallest rank of their block and the next distinct score skips the
     swallowed positions ("1, 2, 2, 2, 5"). Inside a block, entries follow
     their label-sorted triples in label_sort_key order, not their scores.
-    entries is a view of RankedTriangle rows over the columns v1, v2, v3 (each
-    triple label-sorted), score and rank, equal to the tuple of those rows.
+    entries is a RankingView of RankedTriangle rows over the unsorted scores,
+    the TriangleSet's triangle_array and the graph's labels, with the columns
+    v1, v2, v3 (each triple label-sorted), score and rank.
     """
 
     index: str
@@ -57,7 +58,10 @@ class TriangleRanking:
         return len(self.entries)
 
     def top(self, k: int) -> list[tuple[str, str, str]]:
-        return list(zip(*(column[:k].tolist() for column in self.entries.columns[:3])))
+        """The triples of the first k rows; a negative k raises ValueError."""
+        if k < 0:
+            raise ValueError(f"top needs k >= 0, got {k}")
+        return [row.vertices for row in self.entries[:k]]
 
     @cached_property
     def _by_triple(self) -> dict[tuple[str, str, str], int]:
@@ -89,12 +93,10 @@ def _rank_triangles(
 ) -> TriangleRanking:
     """Rank triangles by descending score, ties by their label-sorted triples."""
     pos = label_positions(graph.labels)
-    by_pos = np.empty(graph.n, dtype=object)
-    by_pos[pos] = graph.labels
-    corners = np.sort(pos[triangles.triangle_array], axis=1)
-    order, _, rank = competition_rank(scores, tuple(corners.T), tie_tol)
-    columns = (*by_pos[corners[order]].T, scores[order], rank)
-    return TriangleRanking(index, dict(params), RankingView(_ranked_triangle, columns))
+    tri = triangles.triangle_array
+    order, starts = competition_rank(scores, tuple(np.sort(pos[tri], axis=1).T), tie_tol)
+    view = RankingView(_ranked_triangle, order, starts, scores, graph.labels, (tri, pos))
+    return TriangleRanking(index, dict(params), view)
 
 
 def _ranked_triangle(v1: str, v2: str, v3: str, score: float, rank: int) -> RankedTriangle:
@@ -199,9 +201,10 @@ def _doubled_average_ranks(values: np.ndarray, tol: float) -> np.ndarray:
     A group of k values with competition rank p has average rank
     p + (k - 1)/2, so doubling keeps every rank an integer: 2p + k - 1.
     """
-    order, group, rank = competition_rank(values, (), tol)
+    order, starts = competition_rank(values, (), tol)
+    sizes = np.diff(starts, append=len(values))
     ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = 2 * rank + np.bincount(group)[group] - 1
+    ranks[order] = np.repeat(2 * starts + sizes + 1, sizes)
     return ranks
 
 

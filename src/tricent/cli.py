@@ -364,8 +364,8 @@ def cmd_sweep(args) -> int:
     if args.top:  # a row per alpha: the alpha, then its top labels
         top = min(args.top, graph.n)
         names = ["alpha", *(f"rank{k}" for k in range(1, top + 1))]
-        tops = np.stack([report.ranking.columns[0][:top] for report in reports], axis=1)
-        columns = [np.array(alphas), *tops]
+        tops = np.array([report.top(top) for report in reports], dtype=object)
+        columns = [np.array(alphas), *tops.T]
     else:  # a row per vertex, in label order: the label, then its scores
         names = ["label", *(f"alpha={_fmt(a)}" for a in alphas)]
         columns = [np.array(graph.labels, dtype=object)[order], *matrix[order].T]

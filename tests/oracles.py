@@ -5,14 +5,15 @@ paths it checks: component counts by plain BFS, triangle counts by trace(A^3),
 betweenness by explicit shortest-path enumeration over exact rationals,
 subgraph centrality by a truncated Taylor series of exp(A), the alpha-triangle
 operator by a dense tensor and a triple-loop contraction. The forward-loop
-triangle listing, the loop-based operator build, the competition rankings,
-the rank correlations, the per-caller graph builders, the two power loops
-(with their per-row adjacency product and their refusal of a tol within
-rounding), the adjacency matrix, the per-source betweenness loop, the
-triangle-centrality and neighbour-triangle-sum loops, the eager triangle
-incidence build, the two-digraph weak-irreducibility check and the
-cell-at-a-time CSV and JSON table writers (csv_by_cells, and json_rows for
-json.dumps) are the reference the library versions must match exactly.
+triangle listing, the loop-based operator build, the competition rankings
+(eager rows, and columns_of for their columns), the rank correlations, the
+per-caller graph builders, the two power loops (with their per-row adjacency
+product and their refusal of a tol within rounding), the adjacency matrix,
+the per-source betweenness loop, the triangle-centrality and
+neighbour-triangle-sum loops, the eager triangle incidence build, the
+two-digraph weak-irreducibility check and the cell-at-a-time CSV and JSON
+table writers (csv_by_cells, and json_rows for json.dumps) are the reference
+the library versions must match exactly.
 record_apply records the iterates a solver takes, so a test can rebuild each
 iterate's bracket.
 
@@ -49,13 +50,11 @@ from tricent import (
     RankedTriangle,
     RankedVertex,
     SpectralResult,
-    TriangleRanking,
     TriangleSet,
     is_connected,
     make_report,
 )
-from tricent.analysis import _ranked_triangle
-from tricent.report import VERTEX_TIE_TOL, RankingView, label_sort_key
+from tricent.report import VERTEX_TIE_TOL, label_sort_key
 from tricent.tensor import DEFAULT_MAX_ITER, DEFAULT_SHIFT, DEFAULT_TOL
 
 
@@ -537,6 +536,33 @@ def rank_scores(
     return tuple(ranked)
 
 
+class LoopTriangleRanking:
+    """A triangle ranking as a tuple of its rows, read as TriangleRanking is
+    read: top(k), and score_of and rank_of a triple in any corner order."""
+
+    def __init__(
+        self, index: str, params: Mapping[str, object], entries: Sequence[RankedTriangle]
+    ) -> None:
+        self.index, self.params, self.entries = index, dict(params), tuple(entries)
+        self._by_triple: dict[tuple[str, ...], RankedTriangle] = {}
+        for entry in self.entries:
+            self._by_triple.setdefault(entry.vertices, entry)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def top(self, k: int) -> list[tuple[str, str, str]]:
+        if k < 0:
+            raise ValueError(f"top needs k >= 0, got {k}")
+        return [entry.vertices for entry in self.entries[:k]]
+
+    def score_of(self, vertices: Sequence[str]) -> float:
+        return self._by_triple[tuple(sorted(vertices, key=label_sort_key))].score
+
+    def rank_of(self, vertices: Sequence[str]) -> int:
+        return self._by_triple[tuple(sorted(vertices, key=label_sort_key))].rank
+
+
 def rank_triangles(
     index: str,
     params: Mapping[str, object],
@@ -544,7 +570,7 @@ def rank_triangles(
     triangles: TriangleSet,
     scores: np.ndarray,
     tie_tol: float,
-) -> TriangleRanking:
+) -> LoopTriangleRanking:
     triples = [
         tuple(
             sorted((graph.labels[p], graph.labels[q], graph.labels[r]), key=label_sort_key)
@@ -570,13 +596,25 @@ def rank_triangles(
         for t in members:
             entries.append(RankedTriangle(triples[t], float(scores[t]), position))
         position += len(members)
-    # the loop rows as the columns v1, v2, v3, score, rank of a view
-    columns = (
-        *(np.array([e.vertices[c] for e in entries], dtype=object) for c in range(3)),
-        np.array([e.score for e in entries], dtype=float),
-        np.array([e.rank for e in entries], dtype=np.intp),
+    return LoopTriangleRanking(index, params, entries)
+
+
+def columns_of(rows: Sequence[tuple], row_type: type) -> tuple[np.ndarray, ...]:
+    """The read-only columns of RankedVertex or RankedTriangle rows, one cell
+    at a time: label (v1, v2, v3 for a triangle) as object arrays, score as
+    float64, then rank and, for a vertex, tie group as intp."""
+    if row_type is RankedTriangle:
+        cells = [(*row.vertices, *row[1:]) for row in rows]
+        kinds = (object, object, object, np.float64, np.intp)
+    else:
+        cells = [tuple(row) for row in rows]
+        kinds = (object, np.float64, np.intp, np.intp)
+    columns = tuple(
+        np.array([cell[c] for cell in cells], dtype=kind) for c, kind in enumerate(kinds)
     )
-    return TriangleRanking(index, dict(params), RankingView(_ranked_triangle, columns))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 def average_ranks(values: np.ndarray, tol: float) -> list[Fraction]:

@@ -1,6 +1,6 @@
 """No module-level private name in src/tricent is left without a user, no
-public method of the core classes is left without a reader, and no module
-imports a name it never reads."""
+public method of the core classes is left without a reader, no export is
+left unshown to callers, and no module imports a name it never reads."""
 
 import ast
 import re
@@ -85,6 +85,36 @@ def test_every_public_method_is_read_outside_its_definition():
         if used[name] == references(node)[name] and name not in readme
     ]
     assert unused == []
+
+
+# Exports that callers need though no README line, demo, benchmark file or
+# acceptance test names them: the types the public functions return, and the
+# errors and warnings callers catch or filter.
+EXPORTED_TYPES = {
+    "AlphaDomainError",
+    "AlphaTriangleOperator",
+    "CentralityReport",
+    "DegreeTriangleStats",
+    "DuplicateEdgeWarning",
+    "EdgeListParseError",
+    "IrreducibilityCheck",
+    "RemovalResult",
+    "SpectralResult",
+}
+
+
+def test_every_export_is_shown_to_callers_or_is_a_type_they_need():
+    """Each name in tricent.__all__ is read by a demo, a perfbench file or
+    the acceptance tests, or written in the README, or is one of
+    EXPORTED_TYPES, each an exported class."""
+    sources = [path for folder in ("demos", "perfbench") for path in (REPO / folder).glob("*.py")]
+    sources.append(REPO / "tests" / "test_acceptance.py")
+    used = sum((references(ast.parse(path.read_text())) for path in sources), Counter())
+    readme = set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+    unshown = {name for name in tricent.__all__ if not used[name] and name not in readme}
+    assert unshown <= EXPORTED_TYPES
+    assert EXPORTED_TYPES <= set(tricent.__all__)
+    assert all(isinstance(getattr(tricent, name), type) for name in EXPORTED_TYPES)
 
 
 def imported_names(tree: ast.Module):

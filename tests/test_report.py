@@ -2,13 +2,16 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tricent import atec, enumerate_triangles, make_report, triangle_importance
-from tricent.report import label_sort_key, rank_scores
+from tricent import RankedVertex, atec, enumerate_triangles, make_report, triangle_importance
+from tricent.analysis import TRIANGLE_TIE_TOL
+from tricent.report import label_positions, label_sort_key, rank_scores
 
+import oracles
 from oracles import holme_kim_graph, relabeled
 
 
@@ -291,3 +294,165 @@ def test_empty_views_equal_the_empty_tuple(p3):
     assert len(entries) == len(vertices) == 0 and tuple(entries) == ()
     assert entries == () == vertices and entries == vertices and vertices == entries
     assert entries[:] == () and list(reversed(vertices)) == []
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("vertex", 0), ("vertex", 1), ("vertex", 2), ("vertex", 300), ("vertex", 2000),
+            ("triangle", 150), ("triangle", 400)],
+    ids=lambda p: f"{p[0]}{p[1]}",
+)
+def oracle_views(request):
+    """(view, the loop oracle's rows, a view of equal rows over other label
+    and triangle objects, a view of the scores plus 1: the same order and
+    tie groups, other scores) for seeded scores on a coarse grid, so most
+    rows tie. Triangles rank the score sums of seeded Holme-Kim graphs whose
+    shuffled labels sort in another order than their vertex ids."""
+    kind, n = request.param
+    if kind == "vertex":
+        labels, scores = seeded_scores(n, 26 + n)
+        copy = tuple(label[:1] + label[1:] for label in labels)  # equal, not the same objects
+        assert n < 2 or copy[0] is not labels[0]
+        return (
+            rank_scores(labels, scores),
+            oracles.rank_scores(labels, scores),
+            rank_scores(copy, scores.copy()),
+            rank_scores(labels, scores + 1.0),
+        )
+    graph, _ = relabeled(holme_kim_graph(random.Random(26 + n), n), random.Random(n))
+    triangles = enumerate_triangles(graph)
+    _, scores = seeded_scores(graph.n, 26 + n)
+    tri = triangles.triangle_array
+    sums = scores[tri[:, 0]] + scores[tri[:, 1]] + scores[tri[:, 2]]
+    twin, _ = relabeled(holme_kim_graph(random.Random(26 + n), n), random.Random(n))
+    assert twin.labels == graph.labels and twin.labels is not graph.labels
+    return (
+        triangle_importance(graph, triangles, scores).entries,
+        oracles.rank_triangles("i", {}, graph, triangles, sums, TRIANGLE_TIE_TOL).entries,
+        triangle_importance(twin, enumerate_triangles(twin), scores).entries,
+        triangle_importance(graph, triangles, scores + 1.0).entries,
+    )
+
+
+def test_view_columns_equal_the_oracle_columns(oracle_views):
+    """Same values, dtypes and order as the loop oracle's columns, each
+    read-only, and gathered afresh at every read rather than kept."""
+    view, rows, _, _ = oracle_views
+    want = oracles.columns_of(rows, type(rows[0]) if rows else RankedVertex)
+    got = view.columns
+    assert len(got) == len(want)
+    for column, expected in zip(got, want):
+        assert column.dtype == expected.dtype and column.shape == expected.shape
+        assert np.array_equal(column, expected)
+        assert not column.flags.writeable
+    assert all(a is not b for a, b in zip(got, view.columns))
+    assert not hasattr(view, "__dict__")
+
+
+def test_view_rows_equal_the_oracle_rows(oracle_views):
+    view, rows, _, _ = oracle_views
+    n = len(rows)
+    assert len(view) == n
+    for i in range(-n, n):
+        assert view[i] == rows[i] and type(view[i]) is type(rows[i])
+    for i in (n, n + 7, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for start in (None, 0, 1, 3, -5, n - 1, n, n + 4):
+        for stop in (None, 0, 7, -2, n, -n - 3):
+            for step in (None, 1, 2, 3, -1, -4):
+                part = view[start:stop:step]
+                assert type(part) is tuple and part == rows[start:stop:step]
+                assert all(type(row) is type(want) for row, want in zip(part, rows))
+
+
+def test_view_iterates_searches_and_compares_like_the_oracle(oracle_views):
+    view, rows, twin, shifted = oracle_views
+    assert list(view) == list(rows) and tuple(reversed(view)) == rows[::-1]
+    for row in (*rows[::37], *rows[-1:]):
+        assert row in view
+    for row in rows[:1]:
+        assert row._replace(score=-1.0) not in view
+    for left, right in ((view, rows), (rows, view), (view, twin), (twin, view), (twin, rows)):
+        assert left == right and not left != right
+    if rows:
+        changed = rows[:-1] + (rows[-1]._replace(rank=0),)
+        assert [row.rank for row in shifted] == [row.rank for row in rows]
+        for other in (rows[:-1], rows + rows[:1], changed, list(rows), shifted):
+            for left, right in ((view, other), (other, view), (twin, other)):
+                assert left != right and not left == right
+    assert (view != rows[::-1]) is (len(rows) > 1)
+
+
+def traced(call):
+    """(result, bytes call leaves allocated, peak bytes while it runs), traced
+    from a collection, so that only what call makes and keeps counts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+KIB = 1024
+
+
+def test_a_report_keeps_two_index_arrays_and_reads_rows_in_o_k():
+    """A ranking keeps order and starts, 8n bytes each at most (starts holds
+    one entry per tie group, and here every score is its own group), and
+    reads the scores and labels the report is given; 64 KiB covers the
+    report, its dicts and the array headers. Label, score, rank and
+    tie-group columns kept in rank order took 4 x 8n. A read of k rows must
+    make no temporary of length n (8n = 400 KB here), so 64 KiB bounds its
+    peak. The label order is the graph's, kept once for all its rankings, so
+    it is made before tracing."""
+    n = 50_000
+    labels = tuple(f"v{i}" for i in range(n))
+    scores = np.random.default_rng(50).permutation(n) / n
+    label_positions(labels)
+    report, kept, _ = traced(lambda: make_report("x", {}, labels, scores, "raw"))
+    assert len(report.ranking.starts) == n
+    assert kept <= 2 * 8 * n + 64 * KIB
+    reads = (lambda: report.ranking[:10], lambda: report.ranking[-1], lambda: report.top(10))
+    for read in reads:
+        assert traced(read)[2] < 64 * KIB
+    assert report.top(10) == [row.label for row in report.ranking[:10]]
+
+
+def test_a_triangle_ranking_keeps_three_arrays_and_reads_rows_in_o_k():
+    """A triangle ranking keeps its unsorted sums, order and starts, 8T
+    bytes each at most, and reads the TriangleSet's triangle_array and the
+    graph's labels; 64 KiB covers the objects around them. Three label
+    columns, score and rank kept in rank order took 5 x 8T. A read of k rows
+    must make no temporary of length T (8T = 132 KB here)."""
+    graph = holme_kim_graph(random.Random(27), 8000)
+    triangles = enumerate_triangles(graph)
+    t = len(triangles)
+    assert t > 16_000
+    scores = np.random.default_rng(27).random(graph.n)
+    label_positions(graph.labels)
+    ranking, kept, _ = traced(lambda: triangle_importance(graph, triangles, scores))
+    assert kept <= 3 * 8 * t + 64 * KIB
+    reads = (lambda: ranking.entries[:10], lambda: ranking.entries[-1], lambda: ranking.top(10))
+    for read in reads:
+        assert traced(read)[2] < 64 * KIB
+    assert ranking.top(10) == [row.vertices for row in ranking.entries[:10]]
+
+
+def test_top_refuses_a_negative_k_and_reads_k_rows(karate):
+    """top(-1) gave all but the last row before it was refused."""
+    report = atec(karate, 0.5)
+    ranking = triangle_importance(karate, enumerate_triangles(karate), report)
+    for top in (report.top, ranking.top):
+        for k in (-1, -34):
+            with pytest.raises(ValueError, match=f"got {k}"):
+                top(k)
+        assert top(0) == []
+    assert report.top(3) == [row.label for row in report.ranking[:3]]
+    assert report.top(100) == [row.label for row in report.ranking]
+    assert ranking.top(3) == [row.vertices for row in ranking.entries[:3]]
+    assert ranking.top(1000) == [row.vertices for row in ranking.entries]
