@@ -55,14 +55,12 @@ from .tensor import (
     AlphaDomainError,
     AlphaTriangleOperator,
     ConvergenceError,
-    IrreducibilityCheck,
     NotConnectedError,
     SpectralResult,
     atec,
     atec_per_component,
     build_operator,
     solve_spectral,
-    verify_weak_irreducibility,
 )
 
 __version__ = "1.0.0"
@@ -77,7 +75,6 @@ __all__ = [
     "EdgeListParseError",
     "Graph",
     "GraphValidationError",
-    "IrreducibilityCheck",
     "NotConnectedError",
     "RankedTriangle",
     "RankedVertex",
@@ -114,5 +111,4 @@ __all__ = [
     "triangle_centrality",
     "triangle_importance",
     "verify_dataset",
-    "verify_weak_irreducibility",
 ]

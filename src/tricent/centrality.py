@@ -37,6 +37,8 @@ from .tensor import (
 # largest vertex count admitted to dense n x n work: subgraph centrality's
 # eigh and the Fiedler vector's Laplacian
 DENSE_SIZE_LIMIT = 5000
+# the smallest float whose 10-digit text (the CLI's) reads back as inf
+_PRINTABLE_MAX = 1.7976931345e308
 
 # array slots per block of the level-synchronous Brandes; a source takes
 # about n + 2m of them (its row of the block's arrays and of its CSR), so a
@@ -345,11 +347,20 @@ def subgraph_centrality(graph: Graph) -> CentralityReport:
     """Estrada subgraph centrality SC(i) = sum_j phi_j(i)^2 * exp(lambda_j) (raw).
 
     Full symmetric eigendecomposition of the adjacency matrix; counts closed
-    walks of every length from i weighted by 1/k!.
+    walks of every length from i weighted by 1/k!. Each phi_j has unit norm,
+    so SC(i) <= exp(lambda_max): a score that overflows, or whose 10-digit
+    text reads back as inf, raises ValueError naming lambda_max; only
+    lambda_max near ln(DBL_MAX) ~ 709.78 comes that far.
     """
     _check_dense_size(graph, "subgraph centrality")
     eigenvalues, vectors = np.linalg.eigh(adjacency_matrix(graph))
-    scores = (vectors**2) @ np.exp(eigenvalues)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = (vectors**2) @ np.exp(eigenvalues)
+    if not np.all(scores < _PRINTABLE_MAX):  # NaN fails the comparison too
+        raise ValueError(
+            f"subgraph centrality overflows: lambda_max = {eigenvalues[-1]:.10g} "
+            f"gives a score of {np.max(scores):.10g}, not below {_PRINTABLE_MAX!r}"
+        )
     return make_report("sc", {}, graph.labels, scores, "raw")
 
 

@@ -9,10 +9,10 @@ Graph.edges, is built only when a caller reads it. A Graph finds its
 connected components and lists its triangles on first use and keeps both:
 every connectivity check reads that one partition, and every
 enumerate_triangles call on it returns that one TriangleSet. It keeps, on
-first use too, its neighbours in CSR form (for betweenness and the
-irreducibility check), the alpha-free entry layout of its alpha-triangle
-operator (tensor) and, when disconnected, the subgraph of each component, so
-an alpha sweep does the per-graph work once.
+first use too, its neighbours in CSR form (for betweenness, eigenvector
+centrality and the Fiedler vector), the alpha-free entry layout of its
+alpha-triangle operator (tensor) and, when disconnected, the subgraph of
+each component, so an alpha sweep does the per-graph work once.
 
 Every graph the library makes, from label pairs, from edge-list text, by
 vertex removal or as a connected component, comes from one array builder:

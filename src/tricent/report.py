@@ -81,9 +81,10 @@ class RankingView(Sequence):
     (or v1, v2, v3), score, rank and, for vertices, tie group; row(*cells)
     makes a row from their Python str, float and int cells. The view acts
     as the tuple of its rows: indexing (a slice gives a tuple of rows,
-    gathered from its positions alone), iteration, membership, and ==
-    against such a tuple in either operand order. Two views are equal when
-    their row types and columns are, and any two empty views are equal.
+    gathered from its positions alone), iteration, reversed() and index()
+    (one gather each), membership, and == against such a tuple in either
+    operand order. Two views are equal when their row types and columns
+    are, and any two empty views are equal.
     """
 
     __slots__ = ("_row", "order", "starts", "_scores", "_labels", "_triples")
@@ -126,6 +127,13 @@ class RankingView(Sequence):
 
     def __iter__(self):
         return map(self._row, *(column.tolist() for column in self.columns))
+
+    def __reversed__(self):
+        return iter(self[::-1])
+
+    def index(self, value, start=0, stop=None) -> int:
+        """tuple.index over the rows of one gather of self[start:stop]."""
+        return slice(start, stop).indices(len(self))[0] + self[start:stop].index(value)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RankingView):

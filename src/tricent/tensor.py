@@ -505,50 +505,3 @@ def atec_per_component(
             "tolerance": tol,
         },
     )
-
-
-@dataclass(frozen=True, eq=False)
-class IrreducibilityCheck:
-    """Outcome of the weak-irreducibility test on an operator's digraph.
-
-    The digraph D has an arc (i, j) whenever some nonzero tensor entry
-    a_{i, i2, i3} has j in {i2, i3}; the tensor is weakly irreducible iff D is
-    strongly connected. For a positive result the two parent arrays are BFS
-    certificates that vertex 0 reaches everything and everything reaches
-    vertex 0; otherwise witness names an ordered pair with no directed path.
-    """
-
-    strongly_connected: bool
-    witness: tuple[str, str] | None
-    forward_parents: tuple[int, ...]
-    backward_parents: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return self.strongly_connected
-
-
-def verify_weak_irreducibility(op: AlphaTriangleOperator) -> IrreducibilityCheck:
-    """Check that the operator's associated digraph is strongly connected.
-
-    For alpha in (0, 1] that digraph is the graph's symmetric adjacency: each
-    edge gives arcs both ways, and each triangle arc joins two vertices that
-    share an edge. So one BFS from vertex 0 (parent -1; -2 marks unreached;
-    neighbours scanned ascending) certifies both directions, and the two
-    parent arrays are the same.
-    """
-    starts, neighbors = (a.tolist() for a in op.graph._csr)
-    parent = [-1] + [-2] * (op.n - 1)
-    queue = [0]
-    for u in queue:  # the loop reaches what it appends
-        for w in neighbors[starts[u] : starts[u + 1]]:
-            if parent[w] == -2:
-                parent[w] = u
-                queue.append(w)
-    unreached = next((v for v, p in enumerate(parent) if p == -2), None)
-    witness = None if unreached is None else (op.graph.labels[0], op.graph.labels[unreached])
-    return IrreducibilityCheck(
-        strongly_connected=witness is None,
-        witness=witness,
-        forward_parents=tuple(parent),
-        backward_parents=tuple(parent),
-    )

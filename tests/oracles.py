@@ -45,7 +45,6 @@ from tricent import (
     EdgeListParseError,
     Graph,
     GraphValidationError,
-    IrreducibilityCheck,
     NotConnectedError,
     RankedTriangle,
     RankedVertex,
@@ -147,10 +146,11 @@ def components_by_bfs(graph: Graph) -> list[set[int]]:
     return out
 
 
-def weak_irreducibility_by_digraph(op) -> IrreducibilityCheck:
-    """verify_weak_irreducibility as first written: build the operator's
-    associated digraph from its edge and triangle arcs, then BFS it forwards
-    and backwards from vertex 0."""
+def digraph_strongly_connected(op) -> bool:
+    """Weak irreducibility as first tested: build the operator's associated
+    digraph from its edge and triangle arcs, then BFS it forwards and
+    backwards from vertex 0; the tensor is weakly irreducible iff both
+    searches reach every vertex."""
     n = op.n
     out_arcs: list[set[int]] = [set() for _ in range(n)]
     if op.alpha > 0.0:
@@ -167,36 +167,16 @@ def weak_irreducibility_by_digraph(op) -> IrreducibilityCheck:
         for j in out_arcs[i]:
             in_arcs[j].add(i)
 
-    def bfs(arcs: list[set[int]]) -> list[int]:
-        parent = [-2] * n  # -2 unreached, -1 root
-        parent[0] = -1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in sorted(arcs[u]):
-                    if parent[w] == -2:
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
-        return parent
+    def reaches_all(arcs: list[set[int]]) -> bool:
+        seen, queue = {0}, deque([0])
+        while queue:
+            for w in arcs[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return len(seen) == n
 
-    fwd = bfs(out_arcs)
-    bwd = bfs(in_arcs)
-    witness = None
-    for v in range(n):
-        if fwd[v] == -2:
-            witness = (op.graph.labels[0], op.graph.labels[v])
-            break
-        if bwd[v] == -2:
-            witness = (op.graph.labels[v], op.graph.labels[0])
-            break
-    return IrreducibilityCheck(
-        strongly_connected=witness is None,
-        witness=witness,
-        forward_parents=tuple(fwd),
-        backward_parents=tuple(bwd),
-    )
+    return reaches_all(out_arcs) and reaches_all(in_arcs)
 
 
 def betweenness_by_enumeration(graph: Graph) -> list[Fraction]:

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from tricent import (
     subgraph_centrality,
     triangle_centrality,
 )
+from tricent import centrality
 from tricent.centrality import DENSE_SIZE_LIMIT
 
 from oracles import (
     adjacency_of,
     betweenness_by_enumeration,
+    complete_graph,
     path_graph,
     random_connected_graph,
     relabeled,
@@ -262,6 +265,41 @@ def test_sc_size_guard(no_dense_adjacency):
     limit = f"n = {DENSE_SIZE_LIMIT + 1} exceeds the {DENSE_SIZE_LIMIT} limit"
     with pytest.raises(ValueError, match=limit):
         subgraph_centrality(path_graph(DENSE_SIZE_LIMIT + 1))
+
+
+def test_sc_refuses_scores_that_overflow():
+    """Every SC score of K_n is exp(n - 1) / n + (1 - 1/n) / e: K_709 is
+    finite, while K_711's exp(lambda_max = 710) overflows. The overflow is
+    refused by name, without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = subgraph_centrality(complete_graph(709)).scores
+        assert np.all(np.isfinite(scores))
+        assert scores.max() == pytest.approx(math.exp(708) / 709, rel=1e-9)
+        with pytest.raises(ValueError, match=r"overflows: lambda_max = 710 gives a score of inf"):
+            subgraph_centrality(complete_graph(711))
+
+
+def exponents_around(limit: float) -> list[float]:
+    """ln values whose exp lands far below, just below, at or past limit."""
+    at = math.log(limit)
+    while np.exp(at) < limit:
+        at = float(np.nextafter(at, np.inf))
+    return [at - 1e-9, float(np.nextafter(at, -np.inf)), at, math.log(1.7976931348e308)]
+
+
+@pytest.mark.parametrize("exponent", exponents_around(1.7976931345e308))
+def test_sc_refuses_a_score_whose_text_reads_back_as_inf(monkeypatch, exponent):
+    """On one vertex with adjacency [[exponent]], SC is exp(exponent): refused
+    exactly when its 10-digit text, as the CLI writes it, reads back as inf."""
+    graph = Graph(labels=("a",), edge_array=np.empty((0, 2), dtype=np.int64))
+    monkeypatch.setattr(centrality, "adjacency_matrix", lambda g: np.array([[exponent]]))
+    score = float(np.exp(exponent))
+    if math.isinf(float(f"{score:.10g}")):
+        with pytest.raises(ValueError, match=r"not below 1\.7976931345e\+308"):
+            subgraph_centrality(graph)
+    else:
+        assert subgraph_centrality(graph).scores[0] == score
 
 
 def test_fiedler_size_guard(no_dense_adjacency):

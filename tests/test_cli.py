@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -33,6 +34,14 @@ def k3_file(tmp_path):
 def two_components_file(tmp_path):
     path = tmp_path / "two.edges"
     path.write_text("a b\nc d\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def k711_file(tmp_path_factory):
+    """The complete graph K_711, whose subgraph centrality overflows."""
+    path = tmp_path_factory.mktemp("k711") / "k711.edges"
+    path.write_text("".join(f"{i} {j}\n" for i, j in itertools.combinations(range(711), 2)))
     return path
 
 
@@ -184,6 +193,17 @@ class TestCentralityCommand:
         code, out, err = run(capsys, command, "--input", str(path), "--measure", "bc,sc,x")
         assert (code, out) == (2, "")
         assert "unknown measure 'x'" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sc_overflow_is_data_error(self, capsys, k711_file, fmt):
+        """K_711's SC overflows: exit 3 naming lambda_max, no table and no
+        numpy warning line."""
+        code, out, err = run(
+            capsys, "centrality", "--input", str(k711_file), "--measure", "sc", "--format", fmt
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: subgraph centrality overflows: lambda_max = 710 ")
+        assert "warning:" not in err and err.count("\n") == 1
 
     def test_deterministic_output(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -511,6 +531,15 @@ class TestCompareCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[1].split(",")[2] == "1"
+
+    def test_sc_overflow_exits_before_any_correlation(self, capsys, monkeypatch, k711_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a correlation ran after sc overflowed")
+
+        monkeypatch.setattr(tricent.cli, "rank_correlation", refuse)
+        code, out, err = run(capsys, "compare", "--input", str(k711_file), "--measure", "dc,sc")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: subgraph centrality overflows: lambda_max = 710 ")
 
     def test_svg_scatter(self, capsys, tmp_path):
         svg = tmp_path / "m.svg"

@@ -97,7 +97,6 @@ EXPORTED_TYPES = {
     "DegreeTriangleStats",
     "DuplicateEdgeWarning",
     "EdgeListParseError",
-    "IrreducibilityCheck",
     "RemovalResult",
     "SpectralResult",
 }

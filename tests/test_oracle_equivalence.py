@@ -28,6 +28,7 @@ from tricent import (
     AlphaTriangleOperator,
     ConvergenceError,
     Graph,
+    NotConnectedError,
     adjacency_matrix,
     atec,
     atec_per_component,
@@ -49,7 +50,6 @@ from tricent import (
     solve_spectral,
     triangle_centrality,
     triangle_importance,
-    verify_weak_irreducibility,
 )
 from tricent import analysis, centrality, graph as graph_module, tensor
 from tricent.analysis import TRIANGLE_TIE_TOL, _rank_triangles
@@ -69,6 +69,7 @@ from oracles import (
     collatz_wielandt_brackets,
     contract_tensor,
     diamond_chain,
+    digraph_strongly_connected,
     eigenvector_centrality_by_loop,
     graph_from_edge_labels,
     holme_kim_graph,
@@ -89,7 +90,6 @@ from oracles import (
     star_graph,
     triangle_centrality_by_loop,
     triangles_by_forward_loop,
-    weak_irreducibility_by_digraph,
     wheel_graph,
 )
 
@@ -918,16 +918,19 @@ def test_atec_per_component_equals_atec_on_connected_graphs(graph):
     ids=lambda g: f"n{g.n}m{g.m}",
 )
 def test_weak_irreducibility_matches_digraph_oracle(graph):
-    """One BFS over the adjacency gives every field the two-digraph check did."""
+    """The operator's digraph is strongly connected (the tensor is weakly
+    irreducible) exactly when the graph is connected, and solve_spectral
+    refuses the operator exactly when it is not."""
     triangles = enumerate_triangles(graph)
     for alpha in (1.0, 0.5, 0.01):
         op = AlphaTriangleOperator(graph, triangles, alpha)
-        got = verify_weak_irreducibility(op)
-        want = weak_irreducibility_by_digraph(op)
-        assert got.strongly_connected == want.strongly_connected == is_connected(graph)
-        assert got.witness == want.witness
-        assert got.forward_parents == want.forward_parents
-        assert got.backward_parents == want.backward_parents
+        irreducible = digraph_strongly_connected(op)
+        assert irreducible == is_connected(graph)
+        if irreducible:
+            assert solve_spectral(op).x.min() > 0.0
+        else:
+            with pytest.raises(NotConnectedError):
+                solve_spectral(op)
 
 
 # --- one shifted power kernel -----------------------------------------------

@@ -294,6 +294,9 @@ def test_empty_views_equal_the_empty_tuple(p3):
     assert len(entries) == len(vertices) == 0 and tuple(entries) == ()
     assert entries == () == vertices and entries == vertices and vertices == entries
     assert entries[:] == () and list(reversed(vertices)) == []
+    for view in (entries, vertices):
+        with pytest.raises(ValueError):
+            view.index(RankedVertex("a", 1.0, 1, 0))
 
 
 @pytest.fixture(
@@ -382,6 +385,41 @@ def test_view_iterates_searches_and_compares_like_the_oracle(oracle_views):
             for left, right in ((view, other), (other, view), (twin, other)):
                 assert left != right and not left == right
     assert (view != rows[::-1]) is (len(rows) > 1)
+
+
+def test_reversed_and_index_gather_once_like_the_tuple(oracle_views, monkeypatch):
+    """reversed() and index(), start and stop included, give what they give
+    on the tuple of rows, each from one gather rather than one per row."""
+    view, rows, _, _ = oracle_views
+    n = len(rows)
+    gather, calls = type(view)._gather, []
+    monkeypatch.setattr(type(view), "_gather", lambda self, at: calls.append(at) or gather(self, at))
+
+    def once(call):
+        calls.clear()
+        try:
+            result = call()
+        except ValueError:
+            result = ValueError
+        assert len(calls) == 1
+        return result
+
+    def on_rows(call):
+        try:
+            return call()
+        except ValueError:
+            return ValueError
+
+    assert once(lambda: list(reversed(view))) == list(reversed(rows))
+    probes = (*rows[::53], *rows[-1:], RankedVertex("absent", 0.5, 1, 0))
+    for row in probes:
+        assert once(lambda: view.index(row)) == on_rows(lambda: rows.index(row))
+        i = rows.index(row) if row in rows else n // 2
+        for start, stop in ((0, n), (i, i + 1), (i + 1, n + 5), (i - n, n), (-n - 9, i),
+                            (0, i - n + 1), (n + 2, n + 9), (i + 1, i)):
+            got = once(lambda: view.index(row, start, stop))
+            assert got == on_rows(lambda: rows.index(row, start, stop))
+        assert once(lambda: view.index(row, i - n, None)) == on_rows(lambda: rows.index(row, i - n))
 
 
 def traced(call):

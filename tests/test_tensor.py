@@ -14,7 +14,6 @@ from tricent import (
     build_operator,
     enumerate_triangles,
     solve_spectral,
-    verify_weak_irreducibility,
 )
 
 from oracles import (
@@ -301,21 +300,3 @@ class TestConcurrentSolves:
             assert np.array_equal(seq.x, par.x)
         for res in shared[1:]:
             assert np.array_equal(res.x, shared[0].x)
-
-
-class TestWeakIrreducibility:
-    def test_k3_strongly_connected(self, k3):
-        for alpha in (0.01, 0.5, 1.0):
-            check = verify_weak_irreducibility(operator_for(k3, alpha))
-            assert check
-            assert check.witness is None
-            assert all(p != -2 for p in check.forward_parents)
-
-    def test_disconnected_witness(self):
-        g = Graph.from_edge_labels([("a", "b"), ("c", "d")])
-        check = verify_weak_irreducibility(operator_for(g, 0.5))
-        assert not check
-        assert check.witness == ("a", "c")
-
-    def test_g14(self, g14):
-        assert verify_weak_irreducibility(operator_for(g14, 0.5))
