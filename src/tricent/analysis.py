@@ -23,6 +23,7 @@ from .report import (
     VERTEX_TIE_TOL,
     CentralityReport,
     RankingView,
+    _require_finite,
     competition_rank,
     label_positions,
     label_sort_key,
@@ -91,7 +92,9 @@ def _rank_triangles(
     scores: np.ndarray,
     tie_tol: float,
 ) -> TriangleRanking:
-    """Rank triangles by descending score, ties by their label-sorted triples."""
+    """Rank triangles by descending score, ties by their label-sorted triples;
+    a NaN or infinite score raises ValueError."""
+    _require_finite(scores, f"index {index!r}")
     pos = label_positions(graph.labels)
     tri = triangles.triangle_array
     order, starts = competition_rank(scores, tuple(np.sort(pos[tri], axis=1).T), tie_tol)

@@ -294,17 +294,15 @@ def _parse_measures(text: str, default_alpha: float | None) -> list[tuple[str, f
     return measures
 
 
-def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool | None):
-    """One measure's report; per_component is None where the command lacks the flag."""
+def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool):
+    """One measure's report, connectivity already checked."""
     if name == "atec":
         if per_component:
             return atec_per_component(graph, alpha, tol=tol)
-        _require_connected(graph, flag_helps=per_component is not None)
         return atec(graph, alpha, tol=tol)
     if name == "dc":
         return degree_centrality(graph)
     if name == "ec":
-        _require_connected(graph)
         return eigenvector_centrality(graph, tol=tol)
     if name == "tc":
         return triangle_centrality(graph, enumerate_triangles(graph))
@@ -313,17 +311,35 @@ def _compute_measure(name: str, alpha, graph, tol: float, per_component: bool | 
     return subgraph_centrality(graph)  # "sc", the last name _parse_measures admits
 
 
+def _compute_measures(measures, graph, tol: float, per_component: bool | None) -> list:
+    """The reports of measures, in their order; per_component is None where
+    the command lacks the flag.
+
+    First every refusal that needs no score: sc's size limit, then the
+    connectivity of atec (unless per component) and of ec, in list order.
+    Then sc: its overflow refusal precedes all other work, and its dense
+    eigh peaks before the sparse measures have grown the heap. Then the
+    rest, in order.
+    """
+    if any(name == "sc" for name, _ in measures):
+        _check_dense_size(graph, "subgraph centrality")
+    for name, _ in measures:
+        if name == "ec" or (name == "atec" and not per_component):
+            _require_connected(graph, flag_helps=name == "atec" and per_component is not None)
+    reports = [None] * len(measures)
+    for i in sorted(range(len(measures)), key=lambda i: measures[i][0] != "sc"):
+        reports[i] = _compute_measure(*measures[i], graph, tol, bool(per_component))
+    return reports
+
+
 def cmd_centrality(args) -> int:
     graph, digest = _load(args)
     tol = _tolerance(args)
     measures = _parse_measures(args.measure, args.alpha)
     if not measures:
         raise UsageError("--measure needs at least one measure")
-    if any(name == "sc" for name, _ in measures):  # refuse before any measure runs
-        _check_dense_size(graph, "subgraph centrality")
     tables = []
-    for name, alpha in measures:
-        report = _compute_measure(name, alpha, graph, tol, args.per_component)
+    for report in _compute_measures(measures, graph, tol, args.per_component):
         if args.unit_norm and report.normalization == "raw":
             report = report.unit_euclidean()
         meta = {
@@ -356,6 +372,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--top must be a positive integer")
     for alpha in alphas:  # every alpha is checked before any is solved
         _check_alpha(alpha)
+    if not args.per_component:
+        _require_connected(graph, flag_helps=True)
     reports = [_compute_measure("atec", a, graph, tol, args.per_component) for a in alphas]
 
     order = np.argsort(label_positions(graph.labels)).tolist()
@@ -478,14 +496,8 @@ def cmd_compare(args) -> int:
     measures = _parse_measures(args.measure, args.alpha)
     if len(measures) < 2:
         raise UsageError("compare needs at least two measures")
-    if any(name == "sc" for name, _ in measures):
-        _check_dense_size(graph, "subgraph centrality")
-    names, vectors = [], []
-    for name, alpha in measures:
-        report = _compute_measure(name, alpha, graph, tol, None)
-        display = name if alpha is None or name != "atec" else f"atec:{_fmt(alpha)}"
-        names.append(display)
-        vectors.append(report.scores)
+    names = [name if name != "atec" else f"atec:{_fmt(alpha)}" for name, alpha in measures]
+    vectors = [report.scores for report in _compute_measures(measures, graph, tol, None)]
     k = len(names)
     matrix = np.ones((k, k))
     for i in range(k):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .graph import Graph, load_edge_list
@@ -84,8 +83,7 @@ def dataset_info(name: str) -> DatasetInfo:
 
 
 def dataset_path(name: str) -> Path:
-    info = dataset_info(name)
-    return Path(str(resources.files("tricent").joinpath("data", info.filename)))
+    return Path(__file__).with_name("data") / dataset_info(name).filename
 
 
 def verify_dataset(name: str) -> bool:

@@ -62,6 +62,13 @@ def competition_rank(
     return order, starts
 
 
+def _require_finite(scores: np.ndarray, name: str) -> None:
+    """Raise ValueError naming name when a score is NaN or infinite: such a
+    score has no place in a descending order."""
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{name} has a NaN or infinite score")
+
+
 class RankedVertex(NamedTuple):
     label: str
     score: float
@@ -231,13 +238,15 @@ def make_report(
     """A CentralityReport of scores[i] for labels[i], ranked by rank_scores.
 
     params and meta are copied into plain dicts, scores become a read-only
-    float array; a length other than len(labels) raises ValueError.
+    float array; a length other than len(labels), or a NaN or infinite
+    score, raises ValueError.
     """
     labels = tuple(labels)
     scores = np.asarray(scores, dtype=float).view()
     scores.setflags(write=False)
     if scores.shape != (len(labels),):
         raise ValueError("scores and labels differ in length")
+    _require_finite(scores, f"measure {measure!r}")
     return CentralityReport(
         measure=measure,
         params=dict(params or {}),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ class TestTriangleImportance:
         with pytest.warns(UserWarning, match="no triangles"):
             ranking = triangle_importance(p3, enumerate_triangles(p3), np.ones(3))
         assert len(ranking) == 0
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_scores_rejected(self, g14, g14_triangles, bad):
+        """A NaN or infinite vertex score raises naming the index, before a
+        ranking could tie its triangle with a finite one or numpy could warn."""
+        scores = np.ones(g14.n)
+        scores[g14.id_of("1")] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="index 'triangle-importance' has a NaN or infinite score"
+            ):
+                triangle_importance(g14, g14_triangles, scores)
 
     def test_scores_bounded_by_vertex_extremes(self, karate):
         tris = enumerate_triangles(karate)

@@ -11,6 +11,7 @@ from tricent import (
     Graph,
     GraphValidationError,
     NotConnectedError,
+    atec,
     betweenness_centrality,
     cycle_index_fiedler,
     degree_centrality,
@@ -278,6 +279,28 @@ def test_sc_refuses_scores_that_overflow():
         assert scores.max() == pytest.approx(math.exp(708) / 709, rel=1e-9)
         with pytest.raises(ValueError, match=r"overflows: lambda_max = 710 gives a score of inf"):
             subgraph_centrality(complete_graph(711))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_report_of_the_six_measures_is_finite(seed):
+    """On seeded random connected graphs, triangle-free ones included, every
+    score and every ranked row of atec, dc, ec, tc, bc and sc is finite."""
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, rng.randint(2, 40), rng.uniform(0.0, 0.3))
+    triangles = enumerate_triangles(graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a triangle-free graph's tc warns
+        reports = [
+            atec(graph, rng.uniform(0.01, 1.0), triangles=triangles),
+            degree_centrality(graph),
+            eigenvector_centrality(graph),
+            triangle_centrality(graph, triangles),
+            betweenness_centrality(graph),
+            subgraph_centrality(graph),
+        ]
+    for report in reports:
+        assert np.isfinite(report.scores).all(), report.measure
+        assert all(map(math.isfinite, report.ranking.columns[1])), report.measure
 
 
 def exponents_around(limit: float) -> list[float]:

@@ -17,7 +17,7 @@ import pytest
 import tricent
 from tricent import dataset_path, removal_experiment
 from tricent.centrality import DENSE_SIZE_LIMIT
-from tricent.cli import build_parser, main
+from tricent.cli import _fmt, build_parser, main
 
 import cli_grid
 import oracles
@@ -552,6 +552,96 @@ class TestCompareCommand:
         assert svg.read_text().startswith("<svg")
 
 
+# the library function tricent.cli calls for each measure
+CLI_FUNCTION = {
+    "dc": "degree_centrality",
+    "tc": "triangle_centrality",
+    "sc": "subgraph_centrality",
+}
+
+
+def record_calls(monkeypatch, names) -> list[str]:
+    """The names of the measures whose tricent.cli functions run, in call order."""
+    calls = []
+    for name in names:
+        function = getattr(tricent.cli, CLI_FUNCTION[name])
+
+        def counted(*args, name=name, function=function, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(tricent.cli, CLI_FUNCTION[name], counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["centrality", "compare"])
+def test_sc_overflow_refuses_before_any_other_measure_runs(
+    capsys, monkeypatch, k711_file, command, fmt
+):
+    """On K_711, dc,sc exits 3 on SC's overflow, with no stdout and dc never run."""
+    calls = record_calls(monkeypatch, ["dc"])
+    code, out, err = run(
+        capsys, command, "--input", str(k711_file), "--measure", "dc,sc", "--format", fmt
+    )
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("error: subgraph centrality overflows: lambda_max = 710 ")
+
+
+@pytest.mark.parametrize(
+    "command, measures, hint",
+    [
+        ("compare", "dc,sc,atec:0.2", ""),
+        ("centrality", "dc,sc,atec:0.2", " (use --per-component)"),
+        ("centrality", "dc,sc,ec,atec:0.2", ""),
+    ],
+)
+def test_a_disconnected_input_is_refused_before_any_measure_runs(
+    capsys, monkeypatch, two_components_file, command, measures, hint
+):
+    """The first atec or ec in the list refuses, with its own message, before
+    dc or SC's dense work has run."""
+    calls = record_calls(monkeypatch, ["dc", "sc"])
+    result = run(capsys, command, "--input", str(two_components_file), "--measure", measures)
+    assert result == (3, "", f"error: graph has 2 components{hint}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("measures", ["sc,dc,tc", "dc,sc,tc", "dc,tc,sc"])
+def test_sc_runs_first_and_the_output_keeps_the_given_order(capsys, monkeypatch, karate, measures):
+    """Wherever sc stands in the list, it runs first; the tables, the
+    measures and the matrix equal each measure computed alone through the
+    library, in the order given."""
+    names = measures.split(",")
+    alone = {
+        "dc": tricent.degree_centrality(karate),
+        "tc": tricent.triangle_centrality(karate, tricent.enumerate_triangles(karate)),
+        "sc": tricent.subgraph_centrality(karate),
+    }
+    calls = record_calls(monkeypatch, names)
+    path = str(dataset_path("karate"))
+
+    argv = ("--input", path, "--measure", measures, "--format", "json")
+    code, out, _ = run(capsys, "centrality", *argv)
+    assert code == 0
+    docs = json.loads(out)
+    assert [doc["meta"]["measure"] for doc in docs] == names
+    for doc, name in zip(docs, names):
+        rows = [{**row._asdict(), "score": float(_fmt(row.score))} for row in alone[name].ranking]
+        assert doc["rows"] == rows
+
+    code, out, _ = run(capsys, "compare", *argv)
+    assert code == 0
+    got = json.loads(out)
+    vectors = [alone[name].scores for name in names]
+    matrix = [
+        [1.0 if a is b else float(_fmt(tricent.rank_correlation(a, b, "pearson"))) for b in vectors]
+        for a in vectors
+    ]
+    assert (got["measures"], got["matrix"]) == (names, matrix)
+    assert calls == (["sc"] + [name for name in names if name != "sc"]) * 2
+
+
 class TestCsvQuoting:
     """Labels holding a comma or a double quote come back intact through csv.reader."""
 
@@ -766,6 +856,21 @@ def test_cli_import_skips_heavy_modules():
     loaded = modules_after("import sys, tricent.cli")
     assert "tricent.cli" in loaded
     assert heavy_modules(loaded) == []
+
+
+def test_cli_import_without_site_loads_no_resources_or_archives():
+    """In an interpreter without site (python -S), where no .pth file can
+    preload them, importing the CLI loads neither importlib.resources nor
+    the tempfile, shutil, bz2 and lzma that it would bring."""
+    path = os.pathsep.join(str(Path(module.__file__).parents[1]) for module in (tricent, np))
+    env = dict(os.environ, **cli_grid.BLAS_ENV, PYTHONPATH=path)
+    code = "import sys, tricent.cli; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "tricent.cli" in loaded and "site" not in loaded
+    unwanted = ("importlib.resources", "tempfile", "shutil", "bz2", "lzma")
+    assert [m for m in loaded if m in unwanted] == []
 
 
 def test_cli_compare_run_skips_heavy_modules(tmp_path):

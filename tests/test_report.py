@@ -1,8 +1,10 @@
 import gc
+import math
 import random
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +67,16 @@ def test_numeric_labels_sort_numerically():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="differ in length"):
         make_report("x", {}, ("a", "b"), np.array([1.0]), "raw")
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_non_finite_scores_rejected(bad):
+    """A NaN or infinite score raises, naming the measure, before a ranking
+    could tie it with a finite one or numpy could warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="measure 'x' has a NaN or infinite score"):
+            make_report("x", {}, ("a", "b", "c", "d"), [1, bad, 2, 0.5], "raw")
 
 
 def test_atec_ranking_survives_relabeling(g14):
