@@ -129,17 +129,12 @@ def triangle_importance(
     if len(triangles) == 0:
         warnings.warn("graph has no triangles; importance ranking is empty")
     tri = triangles.triangle_array
-    sums = scores[tri[:, 0]] + scores[tri[:, 1]] + scores[tri[:, 2]]
+    with np.errstate(over="ignore"):  # an infinite sum is refused by name below
+        sums = scores[tri[:, 0]] + scores[tri[:, 1]] + scores[tri[:, 2]]
     return _rank_triangles("triangle-importance", params, graph, triangles, sums, tie_tol)
 
 
-def cycle_index_fiedler(
-    graph: Graph,
-    triangles: TriangleSet,
-    *,
-    tol: float = 1e-8,
-    tie_tol: float = TRIANGLE_TIE_TOL,
-) -> TriangleRanking:
+def cycle_index_fiedler(graph: Graph, triangles: TriangleSet) -> TriangleRanking:
     """Rank triangles by sum of squared Fiedler-vector differences over their edges.
 
     I_c = (x_p - x_q)^2 + (x_p - x_r)^2 + (x_q - x_r)^2 with x the Fiedler
@@ -148,12 +143,11 @@ def cycle_index_fiedler(
     """
     if len(triangles) == 0:
         warnings.warn("graph has no triangles; cycle-index ranking is empty")
-        return _rank_triangles("cycle-index", {}, graph, triangles, np.empty(0), tie_tol)
-    x = fiedler_vector(graph, tol=tol)
+    x = fiedler_vector(graph) if len(triangles) else np.empty(0)
     tri = triangles.triangle_array
     p, q, r = x[tri[:, 0]], x[tri[:, 1]], x[tri[:, 2]]
     scores = (p - q) ** 2 + (p - r) ** 2 + (q - r) ** 2
-    return _rank_triangles("cycle-index", {}, graph, triangles, scores, tie_tol)
+    return _rank_triangles("cycle-index", {}, graph, triangles, scores, TRIANGLE_TIE_TOL)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,9 @@ _BLOCK_SLOTS = 1 << 15
 _EXACT_PATHS = 2.0**53
 # largest share of other eigenvectors that fiedler_vector accepts from its solves
 _FIEDLER_SHARE = 1e-10
+# fiedler_vector's bound on its residual, and the magnitude of the component
+# that fixes its sign
+_FIEDLER_TOL = 1e-8
 
 
 def adjacency_matrix(graph: Graph) -> np.ndarray:
@@ -364,7 +367,7 @@ def subgraph_centrality(graph: Graph) -> CentralityReport:
     return make_report("sc", {}, graph.labels, scores, "raw")
 
 
-def fiedler_vector(graph: Graph, tol: float = 1e-8) -> np.ndarray:
+def fiedler_vector(graph: Graph) -> np.ndarray:
     """Unit eigenvector of the second-smallest Laplacian eigenvalue.
 
     Requires a connected graph (otherwise lambda_2 = 0 is degenerate with the
@@ -374,8 +377,9 @@ def fiedler_vector(graph: Graph, tol: float = 1e-8) -> np.ndarray:
     (_fiedler_by_solves); where the solves cannot pin the vector down (no
     lambda_3, lambda_3 - lambda_2 within rounding, or a singular solve) it
     comes from the full eigendecomposition (eigh). The sign is fixed so the
-    first component larger than tol in magnitude is positive. The residual
-    ||L v - lambda_2 v||_inf is checked against tol; lambda_2 is recoverable
+    first component larger than _FIEDLER_TOL (1e-8) in magnitude is
+    positive. The residual ||L v - lambda_2 v||_inf must be below
+    _FIEDLER_TOL, else ConvergenceError; lambda_2 is recoverable
     as v @ L @ v. A graph over DENSE_SIZE_LIMIT vertices raises ValueError
     before the dense Laplacian is built.
     """
@@ -395,14 +399,14 @@ def fiedler_vector(graph: Graph, tol: float = 1e-8) -> np.ndarray:
     indptr, indices = graph._csr
     lap_v = np.diff(indptr) * v - np.add.reduceat(v[indices], indptr[:-1])
     residual = float(np.max(np.abs(lap_v - lam2 * v)))
-    if residual >= tol:
+    if residual >= _FIEDLER_TOL:
         raise ConvergenceError(
-            f"Fiedler residual {residual:.3e} exceeds tol {tol:.3e}",
+            f"Fiedler residual {residual:.3e} exceeds tol {_FIEDLER_TOL:.3e}",
             bracket=(lam2, lam2),
             iterations=0,
         )
     for value in v:
-        if abs(value) > tol:
+        if abs(value) > _FIEDLER_TOL:
             if value < 0:
                 v = -v
             break

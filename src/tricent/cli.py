@@ -85,15 +85,6 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_cell(value) -> str:
-    """One CSV cell outside a table: floats at 10 significant digits, tuples ;-joined."""
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, tuple):
-        value = ";".join(map(str, value))
-    return _csv_field(str(value))
-
-
 def _cell_blocks(columns, column_texts):
     """Per block of _ROW_BLOCK rows, column_texts of each column's slice."""
     for start in range(0, len(columns[0]), _ROW_BLOCK):
@@ -347,16 +338,14 @@ def cmd_centrality(args) -> int:
             "normalization": report.normalization,
             "tolerance": tol,
             "dataset_hash": digest,
+            **report.params,
+            **report.meta,
         }
         comment, suffix = f"measure={report.measure}", report.measure
         if "alpha" in report.params:
-            meta["alpha"] = report.params["alpha"]
             comment += f" alpha={_fmt(meta['alpha'])}"
             suffix += f"-{_fmt(meta['alpha'])}"
         comment += f" normalization={report.normalization}"
-        for key in ("iterations", "residual", "rho", "eigenvalue", "components"):
-            if key in report.meta:
-                meta[key] = report.meta[key]
         tables.append((comment, suffix, meta, RankedVertex._fields, report.ranking.columns))
     _write_tables(args, tables)
     return 0
@@ -372,9 +361,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--top must be a positive integer")
     for alpha in alphas:  # every alpha is checked before any is solved
         _check_alpha(alpha)
-    if not args.per_component:
-        _require_connected(graph, flag_helps=True)
-    reports = [_compute_measure("atec", a, graph, tol, args.per_component) for a in alphas]
+    reports = _compute_measures([("atec", a) for a in alphas], graph, tol, args.per_component)
 
     order = np.argsort(label_positions(graph.labels)).tolist()
     matrix = np.stack([r.scores for r in reports], axis=1)  # vertices x alphas
@@ -447,13 +434,12 @@ def cmd_connectivity(args) -> int:
     result = removal_experiment(graph, remove)
     print(result.summary)
     names = ("removed", "components_before", "components_after", "sizes_before", "sizes_after")
-    values = tuple(getattr(result, name) for name in names)
+    values = [getattr(result, name) for name in names]
     if args.format == "json":
-        fields = _json_cell(dict(zip(names, values)))
-        _write_json({"meta": {"dataset_hash": digest}, **fields}, args.output)
+        _write_json({"meta": {"dataset_hash": digest}, **dict(zip(names, values))}, args.output)
     elif args.output:
-        lines = (map(_csv_field, names), map(_csv_cell, values))
-        _write("".join(",".join(line) + "\n" for line in lines), args.output)
+        cells = [str(v) if isinstance(v, int) else ";".join(map(str, v)) for v in values]
+        _write(_csv(names, [np.array([cell], dtype=object) for cell in cells]), args.output)
     return 0
 
 
@@ -483,7 +469,9 @@ def cmd_stats(args) -> int:
         _write_json({"meta": _json_cell(meta), "rows": _SPLICE}, args.output, [(names, columns)])
     else:
         text = _csv(names, columns) + "".join(
-            f"# {key} " + " ".join(f"{k}={_csv_cell(v)}" for k, v in s.items()) + "\n"
+            f"# {key} "
+            + " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in s.items())
+            + "\n"
             for key, s in summaries.items()
         )
         _write(text, args.output)

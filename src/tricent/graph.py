@@ -34,6 +34,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -173,7 +174,8 @@ def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Grap
 
     Every non-comment line holds two whitespace-separated vertex labels;
     ``#`` starts a comment (whole-line or trailing). Labels are mapped to
-    0-based internal ids in first-appearance order.
+    0-based internal ids in first-appearance order. A byte-order mark
+    (U+FEFF) at the very start of the text is skipped.
 
     With dedupe=True, repeated edges and self-loop lines are skipped and
     reported through a DuplicateEdgeWarning; otherwise both are errors. Either
@@ -185,11 +187,13 @@ def load_edge_list(source: str | Path | TextIO, *, dedupe: bool = False) -> Grap
     else:
         stream = source
 
+    lines = iter(stream)
+    first = next(lines, "").removeprefix("\ufeff")
     index: dict[str, int] = {}
     ends: list[int] = []
     linenos = array("q")  # no int object kept per line
     parse_error = None
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(chain((first,), lines), start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if len(tokens) != 2:
             if not tokens:
@@ -243,12 +247,14 @@ def dump_edge_list(graph: Graph) -> str:
     the same labelled edges; its ids follow the labels' first appearance in
     the text, so they can differ from graph's. Raises GraphValidationError
     naming the first vertex (by id) the format cannot hold: one with no
-    edge, or a label that the parser would not read back as one token.
+    edge, or a label that the parser would not read back as one token, or
+    that starts with a byte-order mark (U+FEFF), which the parser skips at
+    the start of the text.
     """
     isolated = np.bincount(graph.edge_array.ravel(), minlength=graph.n) == 0
     for label, alone in zip(graph.labels, isolated.tolist()):
-        if alone or "#" in label or label.split() != [label]:
-            why = "has no edge" if alone else "is not one token without '#'"
+        if alone or "#" in label or label.split() != [label] or label.startswith("\ufeff"):
+            why = "has no edge" if alone else "is not one token without '#' or a leading U+FEFF"
             raise GraphValidationError(f"vertex {label!r} {why}; edge-list text cannot hold it")
     return "".join(f"{graph.labels[u]} {graph.labels[v]}\n" for u, v in graph.edge_array.tolist())
 

@@ -30,10 +30,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _axis_ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi (to lo + 1 when hi <= lo)."""
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def sweep_plot(alphas: Sequence[float], labels: Sequence[str], scores: np.ndarray) -> str:

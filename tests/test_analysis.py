@@ -60,6 +60,18 @@ class TestTriangleImportance:
             ):
                 triangle_importance(g14, g14_triangles, scores)
 
+    def test_finite_scores_whose_sums_overflow_are_refused_without_a_warning(
+        self, g14, g14_triangles
+    ):
+        """Every score is finite, but each triangle's sum overflows to inf:
+        the named refusal comes, and numpy's overflow warning does not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="index 'triangle-importance' has a NaN or infinite score"
+            ):
+                triangle_importance(g14, g14_triangles, np.full(g14.n, 1e308))
+
     def test_scores_bounded_by_vertex_extremes(self, karate):
         tris = enumerate_triangles(karate)
         rep = atec(karate, 0.4)

@@ -484,6 +484,15 @@ class TestStatsCommand:
         nts = [int(r[3]) for r in rows]
         assert max(nts) - min(nts) > max(degrees) - min(degrees)
 
+    def test_a_byte_order_mark_changes_nothing(self, capsys, tmp_path):
+        """A UTF-8 byte-order mark before the text is no part of a label."""
+        plain, bom = tmp_path / "plain.edges", tmp_path / "bom.edges"
+        plain.write_bytes(dataset_path("karate").read_bytes())
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want = run(capsys, "stats", "--input", str(plain))
+        assert want[0] == 0
+        assert run(capsys, "stats", "--input", str(bom)) == want
+
     @pytest.mark.parametrize("dataset", ["dolphins", "celegans-metabolic", "karate"])
     def test_csv_summary_matches_json_summary(self, capsys, dataset):
         """Summary values follow the CSV cell rule: an even count's median
@@ -1143,7 +1152,7 @@ def test_column_writers_match_the_cell_oracle(
         cell_writers(patch)
         cells = outputs("cells")
     assert columns == cells
-    if argv[0] == "connectivity" and fmt == "csv":  # one record, not a table
+    if argv[0] == "connectivity" and fmt == "csv":  # one row, of the result's own cells
         graph = tricent.load_edge_list(argv[argv.index("--input") + 1])
         result = removal_experiment(graph, ["a,b0", "bell\x070"])
         names = ("removed", "components_before", "components_after", "sizes_before", "sizes_after")

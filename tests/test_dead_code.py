@@ -1,6 +1,7 @@
 """No module-level private name in src/tricent is left without a user, no
 public method of the core classes is left without a reader, no export is
-left unshown to callers, and no module imports a name it never reads."""
+left unshown to callers, no module imports a name it never reads, and no
+optional parameter is left without a caller that sets it."""
 
 import ast
 import re
@@ -159,3 +160,63 @@ def test_only_the_dense_measures_build_an_adjacency_matrix():
         and references(node)["adjacency_matrix"]
     }
     assert readers == {"centrality.py:laplacian_matrix", "centrality.py:subgraph_centrality"}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(name, parameter, position) for every defaulted parameter of every
+    function in tree: name is what a call writes (a class's name for its
+    __init__), position the index of the positional argument that sets the
+    parameter, after a method's self, or None for a keyword-only one."""
+    methods = {}
+    for cls in ast.walk(tree):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, FUNCTIONS):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                methods[node] = (cls.name if node.name == "__init__" else node.name, 1 - static)
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            name, skip = methods.get(node, (node.name, 0))
+            positional = node.args.posonlyargs + node.args.args
+            for i in range(len(positional) - len(node.args.defaults), len(positional)):
+                yield name, positional[i].arg, i - skip
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def calls(tree: ast.AST):
+    """(name, positional count, keyword names, splat) for every call in tree
+    of a name or an attribute; splat says a *args or **kwargs may set any
+    parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = [isinstance(arg, ast.Starred) for arg in node.args]
+            keywords = {kw.arg for kw in node.keywords}
+            positional = starred.index(True) if any(starred) else len(starred)
+            yield name, positional, keywords, any(starred) or None in keywords
+
+
+def test_every_optional_parameter_is_set_by_some_caller():
+    """A defaulted parameter of a function in src/tricent is passed, by
+    position or keyword, in some call in src/, tests/, demos/ or perfbench/:
+    an option that no caller sets is its default, and belongs in the body."""
+    folders = [REPO / folder for folder in ("src", "tests", "demos", "perfbench")]
+    trees = [ast.parse(path.read_text()) for folder in folders for path in folder.rglob("*.py")]
+    by_name = {}
+    for tree in trees:
+        for name, positional, keywords, splat in calls(tree):
+            by_name.setdefault(name, []).append((positional, keywords, splat))
+    unset = [
+        f"{name}({parameter})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, parameter, position in defaulted_parameters(ast.parse(path.read_text()))
+        if not any(
+            splat or parameter in keywords or (position is not None and positional > position)
+            for positional, keywords, splat in by_name.get(name, ())
+        )
+    ]
+    assert unset == []

@@ -106,6 +106,19 @@ class TestLoadEdgeList:
         g = load_edge_list(io.StringIO("z a\na q"))
         assert g.labels == ("z", "a", "q")
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        """A UTF-8 byte-order mark before the text, from a file or a stream,
+        gives the plain text's graph; only one mark at the very start goes."""
+        plain = dataset_path("karate").read_bytes()
+        path = tmp_path / "bom.edges"
+        path.write_bytes(b"\xef\xbb\xbf" + plain)
+        want = load_edge_list(io.StringIO(plain.decode()))
+        for got in (load_edge_list(path), load_edge_list(io.StringIO("\ufeff" + plain.decode()))):
+            assert got.labels == want.labels
+            assert got.edge_array.tobytes() == want.edge_array.tobytes()
+        assert load_edge_list(io.StringIO("\ufeff\ufeff1 2\n")).labels == ("\ufeff1", "2")
+        assert load_edge_list(io.StringIO("1 2\n\ufeff2 3\n")).labels == ("1", "2", "\ufeff2", "3")
+
     def test_dolphins_counts(self, dolphins):
         assert dolphins.n == 62
         assert dolphins.m == 159
@@ -176,11 +189,13 @@ def test_dump_round_trips_labels_and_labelled_edges(graph):
         (Graph.from_edge_labels([("x", "y\n")]), "y\n"),
         (Graph.from_edge_labels([("ok", "a\tb"), ("a\tb", "c#")]), "a\tb"),
         (remove_vertices(Graph.from_edge_labels([("p", "q"), ("q", "r r")]), ["q"]), "p"),
+        (Graph.from_edge_labels([("x", "\ufeffy")]), "\ufeffy"),
+        (Graph.from_edge_labels([("\ufeff", "y")]), "\ufeff"),
     ],
 )
 def test_dump_refuses_what_edge_list_text_cannot_hold(graph, first):
-    """An isolated vertex, or a label that does not read back as one token;
-    the first such vertex by id is named."""
+    """An isolated vertex, or a label that does not read back as one token or
+    starts with a byte-order mark; the first such vertex by id is named."""
     with pytest.raises(GraphValidationError, match=re.escape(repr(first))):
         dump_edge_list(graph)
 

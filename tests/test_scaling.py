@@ -19,11 +19,16 @@ import pytest
 
 from tricent import (
     atec,
+    degree_and_triangle_stats,
+    degree_centrality,
     dump_edge_list,
     eigenvector_centrality,
     enumerate_triangles,
     load_edge_list,
+    rank_correlation,
+    removal_experiment,
     triangle_centrality,
+    triangle_importance,
 )
 
 import oracles
@@ -63,6 +68,40 @@ def tc(text):
     return lambda: triangle_centrality(graph, triangles)
 
 
+def stats(text):
+    graph = load_edge_list(io.StringIO(text))
+    triangles = enumerate_triangles(graph)
+    return lambda: degree_and_triangle_stats(graph, triangles)
+
+
+def importance(text):
+    graph = load_edge_list(io.StringIO(text))
+    triangles = enumerate_triangles(graph)
+    scores = degree_centrality(graph).scores
+    return lambda: triangle_importance(graph, triangles, scores)
+
+
+def dc_and_tc(text):
+    graph = load_edge_list(io.StringIO(text))
+    triangles = enumerate_triangles(graph)
+    return degree_centrality(graph).scores, triangle_centrality(graph, triangles).scores
+
+
+def spearman(text):
+    a, b = dc_and_tc(text)
+    return lambda: rank_correlation(a, b, "spearman")
+
+
+def kendall(text):
+    a, b = dc_and_tc(text)
+    return lambda: rank_correlation(a, b, "kendall")
+
+
+def removal(text):
+    graph = load_edge_list(io.StringIO(text))
+    return lambda: removal_experiment(graph, graph.labels[:3])
+
+
 def peak_bytes(stage, n: int) -> int:
     """The tracemalloc peak of one call of stage on the n-vertex graph,
     above the memory traced when the call starts; the inputs are built
@@ -77,7 +116,18 @@ def peak_bytes(stage, n: int) -> int:
         tracemalloc.stop()
 
 
-STAGES = (parse, listing, atec_build_and_solve, ec, tc)
+STAGES = (
+    parse,
+    listing,
+    atec_build_and_solve,
+    ec,
+    tc,
+    stats,
+    importance,
+    spearman,
+    kendall,
+    removal,
+)
 
 
 @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.__name__)
