@@ -281,25 +281,21 @@ def rank_correlation(
     a: CentralityReport | np.ndarray,
     b: CentralityReport | np.ndarray,
     method: str = "spearman",
-    *,
-    tie_tol: float = VERTEX_TIE_TOL,
 ) -> float:
     """Correlation between two score vectors over the same vertex set.
 
     pearson correlates the raw scores; spearman and kendall correlate the
     rankings, tie-corrected (average ranks / tau-b) with ties detected up to
-    tie_tol. The two detect ties differently, on purpose: spearman sorts the
-    scores and chains neighbours within tie_tol into one tie group, by the
-    competition_rank that vertex rankings use, while kendall tests each pair
-    on its own, so a pair ties only when its two scores lie within tie_tol.
+    VERTEX_TIE_TOL. The two detect ties differently, on purpose: spearman
+    sorts the scores and chains neighbours within it into one tie group, by
+    the competition_rank that vertex rankings use, while kendall tests each
+    pair on its own, so a pair ties only when its two scores lie within it.
     Rank arithmetic is exact, so two measures that induce the same ranking
     correlate at exactly 1.0, and swapping a and b gives the same value.
     Reports are aligned by label. A constant vector has no defined
-    correlation and raises, as do NaN or infinite scores, a negative or NaN
-    tie_tol and, for spearman, more than 2**30 scores.
+    correlation and raises, as do NaN or infinite scores and, for spearman,
+    more than 2**30 scores.
     """
-    if not tie_tol >= 0:
-        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")
     if isinstance(a, CentralityReport) and isinstance(b, CentralityReport):
         xa = np.asarray(a.scores, dtype=float)
         if a.labels == b.labels:  # reports of one graph: already aligned
@@ -321,7 +317,7 @@ def rank_correlation(
     if method == "pearson":
         return _pearson_of_scores(xa, xb)
     if method == "spearman":
-        return _spearman(xa, xb, tie_tol)
+        return _spearman(xa, xb, VERTEX_TIE_TOL)
     if method == "kendall":
-        return _kendall_tau_b(xa, xb, tie_tol)
+        return _kendall_tau_b(xa, xb, VERTEX_TIE_TOL)
     raise ValueError(f"unknown method {method!r}; use pearson, spearman or kendall")

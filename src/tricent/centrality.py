@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .graph import Graph, GraphValidationError, TriangleSet, _triangle_neighbor_sums, is_connected
-from .report import CentralityReport, make_report
+from .report import _PRINTABLE_MAX, CentralityReport, make_report
 from .tensor import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -37,8 +37,6 @@ from .tensor import (
 # largest vertex count admitted to dense n x n work: subgraph centrality's
 # eigh and the Fiedler vector's Laplacian
 DENSE_SIZE_LIMIT = 5000
-# the smallest float whose 10-digit text (the CLI's) reads back as inf
-_PRINTABLE_MAX = 1.7976931345e308
 
 # array slots per block of the level-synchronous Brandes; a source takes
 # about n + 2m of them (its row of the block's arrays and of its CSR), so a

@@ -398,6 +398,7 @@ def cmd_sweep(args) -> int:
 def cmd_triangles(args) -> int:
     graph, digest = _load(args)
     tol = _tolerance(args)
+    _check_alpha(args.alpha)
     _require_connected(graph)
     triangles = enumerate_triangles(graph)
     if args.with_cycle_index and len(triangles):  # refuse before atec runs

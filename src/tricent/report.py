@@ -10,6 +10,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 VERTEX_TIE_TOL = 1e-9
+# the smallest float whose 10-digit text (the CLI's) reads back as inf
+_PRINTABLE_MAX = 1.7976931345e308
 
 
 def label_sort_key(label: str):
@@ -63,10 +65,15 @@ def competition_rank(
 
 
 def _require_finite(scores: np.ndarray, name: str) -> None:
-    """Raise ValueError naming name when a score is NaN or infinite: such a
-    score has no place in a descending order."""
-    if not np.isfinite(scores).all():
-        raise ValueError(f"{name} has a NaN or infinite score")
+    """Raise ValueError naming name when a score is NaN or infinite, which has
+    no place in a descending order, or finite but at least _PRINTABLE_MAX in
+    magnitude, whose printed text would read back as infinite."""
+    if not (np.abs(scores) < _PRINTABLE_MAX).all():  # NaN fails the comparison too
+        if not np.isfinite(scores).all():
+            raise ValueError(f"{name} has a NaN or infinite score")
+        raise ValueError(
+            f"{name} has a score of magnitude {_PRINTABLE_MAX!r} or more, which prints as inf"
+        )
 
 
 class RankedVertex(NamedTuple):
@@ -160,12 +167,13 @@ class RankingView(Sequence):
 class CentralityReport:
     """Scores of one measure over one graph.
 
-    scores[i] belongs to labels[i] (the graph's internal order). The ranking
-    is descending by score with competition ranks: scores within tie_tol form
-    a tie group sharing the smallest rank, ordered by ascending label inside
-    the group, and the next distinct score skips the swallowed ranks. It is a
-    RankingView of RankedVertex rows over the report's read-only scores and
-    its labels, equal to the tuple of those rows.
+    scores[i] belongs to labels[i] (the graph's internal order). The ranking,
+    made on first read and kept, is descending by score with competition
+    ranks: scores within VERTEX_TIE_TOL form a tie group sharing the smallest
+    rank, ordered by ascending label inside the group, and the next distinct
+    score skips the swallowed ranks. It is a RankingView of RankedVertex rows
+    over the report's read-only scores and its labels, equal to the tuple of
+    those rows.
     """
 
     measure: str
@@ -173,12 +181,12 @@ class CentralityReport:
     labels: tuple[str, ...]
     scores: np.ndarray
     normalization: str  # "unit-euclidean" | "raw"
-    ranking: RankingView
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+    @cached_property
+    def ranking(self) -> RankingView:
+        rank = competition_rank(self.scores, (label_positions(self.labels),), VERTEX_TIE_TOL)
+        return RankingView(RankedVertex, *rank, self.scores, self.labels)
 
     @cached_property
     def _label_to_id(self) -> dict[str, int]:
@@ -213,19 +221,6 @@ class CentralityReport:
         )
 
 
-def rank_scores(
-    labels: Sequence[str],
-    scores: np.ndarray,
-    tie_tol: float = VERTEX_TIE_TOL,
-) -> RankingView:
-    """Competition-rank scores descending; each tie group sorted by label.
-
-    A view of RankedVertex rows that reads labels and scores, not a copy."""
-    labels = tuple(labels)
-    order, starts = competition_rank(scores, (label_positions(labels),), tie_tol)
-    return RankingView(RankedVertex, order, starts, scores, labels)
-
-
 def make_report(
     measure: str,
     params: Mapping[str, object] | None,
@@ -233,9 +228,8 @@ def make_report(
     scores: np.ndarray,
     normalization: str,
     meta: Mapping[str, object] | None = None,
-    tie_tol: float = VERTEX_TIE_TOL,
 ) -> CentralityReport:
-    """A CentralityReport of scores[i] for labels[i], ranked by rank_scores.
+    """A CentralityReport of scores[i] for labels[i].
 
     params and meta are copied into plain dicts, scores become a read-only
     float array; a length other than len(labels), or a NaN or infinite
@@ -253,6 +247,5 @@ def make_report(
         labels=labels,
         scores=scores,
         normalization=normalization,
-        ranking=rank_scores(labels, scores, tie_tol),
         meta=dict(meta or {}),
     )

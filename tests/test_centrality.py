@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tricent import (
+    ConvergenceError,
     DuplicateEdgeWarning,
     Graph,
     GraphValidationError,
@@ -226,6 +227,16 @@ class TestFiedlerVector:
         g = Graph.from_edge_labels([("a", "b"), ("c", "d")])
         with pytest.raises(NotConnectedError):
             fiedler_vector(g)
+
+    def test_residual_above_tol_is_refused(self, karate, monkeypatch):
+        """The residual, about 3.5e-15 on karate, is refused against a tol
+        below it, with lambda_2 as the bracket and no iterations."""
+        monkeypatch.setattr(centrality, "_FIEDLER_TOL", 1e-300)
+        lam2 = float(np.linalg.eigvalsh(laplacian_matrix(karate))[1])
+        message = r"Fiedler residual \S+ exceeds tol 1\.000e-300"
+        with pytest.raises(ConvergenceError, match=message) as err:
+            fiedler_vector(karate)
+        assert (err.value.bracket, err.value.iterations) == ((lam2, lam2), 0)
 
     def test_single_vertex_rejected(self):
         """One vertex is connected but has no second eigenvalue."""

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -341,6 +342,17 @@ class TestSweepCommand:
         assert body.startswith("<svg")
         assert body.count("<polyline") == 14
 
+    def test_svg_of_equal_alphas_spans_one(self, capsys, tmp_path):
+        """Equal alphas span nothing, so the alpha axis runs from them to 1 more."""
+        svg = tmp_path / "sweep.svg"
+        code, _, _ = run(
+            capsys, "sweep", "--input", str(dataset_path("karate")),
+            "--alphas", "0.5,0.5", "--svg", str(svg), "--output", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0
+        ticks = re.findall(r'text-anchor="middle">([^<]*)</text>', svg.read_text())
+        assert ticks == ["0.50", "0.75", "1.00", "1.25", "1.50", "alpha"]
+
     def test_karate_golden_top10_table(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--input", str(dataset_path("karate")),
@@ -376,6 +388,18 @@ class TestTrianglesCommand:
         assert code == 0
         assert "no triangles" in err
         assert out.strip().splitlines()[-1] == "v1,v2,v3,score,rank"
+
+    @pytest.mark.parametrize("alpha", ("5", "nan", "0"))
+    @pytest.mark.parametrize("text", ("1 2\n2 3\n3 4\n", "1 2\n2 3\n1 3\n"), ids=("path", "k3"))
+    def test_out_of_domain_alpha_is_usage_error_with_or_without_triangles(
+        self, capsys, tmp_path, text, alpha
+    ):
+        p = tmp_path / "g.edges"
+        p.write_text(text)
+        code, out, err = run(capsys, "triangles", "--input", str(p), "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: alpha must lie in (0, 1], got {float(alpha)};")
+        assert err.count("\n") == 1
 
     def test_both_indices_to_files(self, capsys, tmp_path):
         out = tmp_path / "tri.csv"

@@ -608,6 +608,11 @@ def test_constructors_refuse_broken_index_arrays(seed, how):
         )
 
 
+def test_graph_refuses_repeated_labels():
+    with pytest.raises(GraphValidationError, match="labels are not unique"):
+        Graph(labels=("a", "a"), edge_array=np.empty((0, 2), dtype=np.int64))
+
+
 def test_constructors_accept_empty_arrays_and_refuse_unsorted_edges():
     assert Graph(labels=("a",), edge_array=np.empty((0, 2), dtype=np.int64)).m == 0
     assert len(TriangleSet(triangle_array=np.empty((0, 3), dtype=np.int64), n=0)) == 0

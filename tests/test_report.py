@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -9,9 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
-from tricent import RankedVertex, atec, enumerate_triangles, make_report, triangle_importance
+from tricent import (
+    CentralityReport,
+    RankedVertex,
+    atec,
+    enumerate_triangles,
+    make_report,
+    triangle_importance,
+)
 from tricent.analysis import TRIANGLE_TIE_TOL
-from tricent.report import label_positions, label_sort_key, rank_scores
+from tricent.report import label_positions, label_sort_key
 
 import oracles
 from oracles import holme_kim_graph, relabeled
@@ -48,6 +56,18 @@ def test_unit_euclidean_norm_invariant(karate):
     assert abs(float(np.sum(rep.scores**2)) - 1.0) < 1e-9
 
 
+def test_a_report_ranks_its_scores_on_first_read_and_keeps_the_ranking():
+    """No ranking is given to a report, so none can disagree with its scores:
+    the first read ranks them at VERTEX_TIE_TOL, for the unit report too."""
+    names = [f.name for f in dataclasses.fields(CentralityReport)]
+    assert names == ["measure", "params", "labels", "scores", "normalization", "meta"]
+    rep = make_report("x", {}, ("a", "b", "c"), [3.0, 3.0 + 1e-6, 1.0], "raw")
+    assert "ranking" not in vars(rep)
+    ranking = rep.ranking
+    assert rep.ranking is ranking is vars(rep)["ranking"]
+    assert [e.rank for e in ranking] == [1, 2, 3] == [e.rank for e in rep.unit_euclidean().ranking]
+
+
 def test_unit_euclidean_conversion():
     rep = make_report("x", {}, ("a", "b"), np.array([3.0, 4.0]), "raw")
     assert (rep.score_of("a"), rep.score_of("b")) == (3.0, 4.0)
@@ -77,6 +97,23 @@ def test_non_finite_scores_rejected(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="measure 'x' has a NaN or infinite score"):
             make_report("x", {}, ("a", "b", "c", "d"), [1, bad, 2, 0.5], "raw")
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_scores_that_print_as_inf_rejected(sign):
+    """1.7976931345e308 is the smallest float whose 10-digit text reads back
+    as inf; it is refused by name, and the float printed 1.797693134e308
+    below it is kept."""
+    message = r"measure 'x' has a score of magnitude 1\.7976931345e\+308 or more"
+    with pytest.raises(ValueError, match=message):
+        make_report("x", {}, ("a", "b"), [sign * 1.7976931345e308, 1.0], "raw")
+    kept = make_report("x", {}, ("a", "b"), [sign * 1.797693134e308, 1.0], "raw")
+    assert float(f"{kept.score_of('a'):.10g}") == kept.score_of("a") == sign * 1.797693134e308
+
+
+def test_unit_euclidean_of_a_unit_report_is_that_report():
+    rep = make_report("x", {}, ("a", "b"), np.array([0.6, 0.8]), "unit-euclidean")
+    assert rep.unit_euclidean() is rep
 
 
 def test_atec_ranking_survives_relabeling(g14):
@@ -126,18 +163,17 @@ def test_report_rows_are_built_as_named_tuples(karate):
 
 @pytest.mark.parametrize("name", ["karate", "dolphins", "celegans-metabolic", "paper-g14"])
 def test_ranking_rows_equal_rows_built_by_make(name):
-    """The rows rank_scores and _rank_triangles make when read are instances
-    of their NamedTuple, equal to the _make row."""
+    """The rows a report's ranking and _rank_triangles make when read are
+    instances of their NamedTuple, equal to the _make row."""
     from tricent import RankedTriangle, RankedVertex, enumerate_triangles, load_dataset
     from tricent.analysis import TRIANGLE_TIE_TOL, _rank_triangles
-    from tricent.report import rank_scores
 
     graph = load_dataset(name)
     scores = atec(graph, 0.2).scores
     triangles = enumerate_triangles(graph)
     tri = triangles.triangle_array
     sums = scores[tri[:, 0]] + scores[tri[:, 1]] + scores[tri[:, 2]]
-    vertex_rows = rank_scores(graph.labels, scores)
+    vertex_rows = ranking_of(graph.labels, scores)
     triangle_rows = _rank_triangles("i", {}, graph, triangles, sums, TRIANGLE_TIE_TOL).entries
     assert len(vertex_rows) == graph.n and len(triangle_rows) == len(triangles)
     for rows, cls in ((vertex_rows, RankedVertex), (triangle_rows, RankedTriangle)):
@@ -154,17 +190,22 @@ def seeded_scores(n: int, seed: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(f"v{i}" for i in rng.permutation(n)), rng.integers(0, 40, n) / 9.0
 
 
+def ranking_of(labels, scores):
+    """The ranking of a report of scores over labels, made by its first read."""
+    return make_report("x", {}, labels, scores, "raw").ranking
+
+
 def test_rank_scores_from_many_threads_matches_one_thread_and_keeps_the_collector_state():
     """Eight threads (more than the cores) rank at once, with a thread switch
     forced every microsecond. Every ranking must equal the single-thread one,
     and the collector must end as it started, on in one round and off in the
     other: ranking never switches it."""
     labels, scores = seeded_scores(2000, 18)
-    expected = rank_scores(labels, scores)
+    expected = ranking_of(labels, scores)
     done = []
 
     def work():
-        done.append(sum(rank_scores(labels, scores) == expected for _ in range(200)))
+        done.append(sum(ranking_of(labels, scores) == expected for _ in range(200)))
 
     was_enabled, interval = gc.isenabled(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -203,8 +244,8 @@ def collections_during(call) -> int:
 def test_rank_scores_runs_no_collection_per_700_rows():
     """Built with the collector on, 20 000 rows start about 28 collections."""
     labels, scores = seeded_scores(20_000, 19)
-    rank_scores(labels, scores)  # sorts the labels once (label_positions keeps them)
-    assert collections_during(lambda: rank_scores(labels, scores)) <= 2
+    ranking_of(labels, scores)  # sorts the labels once (label_positions keeps them)
+    assert collections_during(lambda: ranking_of(labels, scores)) <= 2
 
 
 def test_triangle_importance_runs_no_collection_per_700_rows():
@@ -226,7 +267,7 @@ def views(request):
         labels, scores = seeded_scores(300, 21)
 
         def build(values):
-            return rank_scores(labels, values)
+            return ranking_of(labels, values)
 
     else:
         graph = holme_kim_graph(random.Random(21), 200)
@@ -302,7 +343,7 @@ def test_view_compares_like_its_tuple(views):
 def test_empty_views_equal_the_empty_tuple(p3):
     with pytest.warns(UserWarning, match="no triangles"):
         entries = triangle_importance(p3, enumerate_triangles(p3), np.ones(3)).entries
-    vertices = rank_scores((), np.empty(0))
+    vertices = ranking_of((), np.empty(0))
     assert len(entries) == len(vertices) == 0 and tuple(entries) == ()
     assert entries == () == vertices and entries == vertices and vertices == entries
     assert entries[:] == () and list(reversed(vertices)) == []
@@ -329,10 +370,10 @@ def oracle_views(request):
         copy = tuple(label[:1] + label[1:] for label in labels)  # equal, not the same objects
         assert n < 2 or copy[0] is not labels[0]
         return (
-            rank_scores(labels, scores),
+            ranking_of(labels, scores),
             oracles.rank_scores(labels, scores),
-            rank_scores(copy, scores.copy()),
-            rank_scores(labels, scores + 1.0),
+            ranking_of(copy, scores.copy()),
+            ranking_of(labels, scores + 1.0),
         )
     graph, _ = relabeled(holme_kim_graph(random.Random(26 + n), n), random.Random(n))
     triangles = enumerate_triangles(graph)
@@ -464,7 +505,13 @@ def test_a_report_keeps_two_index_arrays_and_reads_rows_in_o_k():
     labels = tuple(f"v{i}" for i in range(n))
     scores = np.random.default_rng(50).permutation(n) / n
     label_positions(labels)
-    report, kept, _ = traced(lambda: make_report("x", {}, labels, scores, "raw"))
+
+    def ranked():
+        report = make_report("x", {}, labels, scores, "raw")
+        report.ranking  # made on first read, and kept
+        return report
+
+    report, kept, _ = traced(ranked)
     assert len(report.ranking.starts) == n
     assert kept <= 2 * 8 * n + 64 * KIB
     reads = (lambda: report.ranking[:10], lambda: report.ranking[-1], lambda: report.top(10))

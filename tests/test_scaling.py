@@ -5,9 +5,10 @@ n = 1000 and once at n = 4000, and the tracemalloc peak of the call, above
 what was allocated before it, must grow at most 6 times. The graphs have
 about 4n edges, so a stage linear in n + m reads about 4 and a quadratic one
 (an n x n array) about 16: 6 separates the two with room for the fixed
-costs and the noise of small allocations. The bound is the test; a stage
-that fails it has grown a superlinear allocation, and the bound is not to be
-raised to let it through.
+costs and the noise of small allocations. Betweenness takes O(nm) time, so
+it runs at n = 250 and n = 1000, the same factor of 4. The bound is the test;
+a stage that fails it has grown a superlinear allocation, and the bound is
+not to be raised to let it through.
 """
 
 import io
@@ -15,10 +16,13 @@ import random
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from tricent import (
+    RankedVertex,
     atec,
+    betweenness_centrality,
     degree_and_triangle_stats,
     degree_centrality,
     dump_edge_list,
@@ -30,10 +34,13 @@ from tricent import (
     triangle_centrality,
     triangle_importance,
 )
+from tricent import cli
+from tricent.report import label_positions
 
 import oracles
 
 SIZES = (1000, 4000)
+BETWEENNESS_SIZES = (250, 1000)
 BOUND = 6
 
 
@@ -102,6 +109,55 @@ def removal(text):
     return lambda: removal_experiment(graph, graph.labels[:3])
 
 
+def betweenness(text):
+    graph = load_edge_list(io.StringIO(text))
+    return lambda: betweenness_centrality(graph)
+
+
+# The tables the CLI writes, each as (CSV names, JSON keys, columns); the
+# sweep's JSON rows are arrays, so it has no keys.
+
+
+def sweep_table(text):
+    graph = load_edge_list(io.StringIO(text))
+    triangles = enumerate_triangles(graph)
+    order = np.argsort(label_positions(graph.labels))
+    alphas = (1.0, 0.2)
+    scores = [atec(graph, alpha, triangles=triangles).scores[order] for alpha in alphas]
+    names = ("label", *(f"alpha={alpha}" for alpha in alphas))
+    return names, None, [np.array(graph.labels, dtype=object)[order], *scores]
+
+
+def centrality_table(text):
+    graph = load_edge_list(io.StringIO(text))
+    return RankedVertex._fields, RankedVertex._fields, atec(graph, 0.2).ranking.columns
+
+
+def triangle_table(text):
+    graph = load_edge_list(io.StringIO(text))
+    ranking = triangle_importance(graph, enumerate_triangles(graph), degree_centrality(graph))
+    names = ("v1", "v2", "v3", "score", "rank")
+    return names, names, ranking.entries.columns
+
+
+def csv_of(table):
+    def stage(text):
+        names, _, columns = table(text)
+        return lambda: cli._csv(names, columns)
+
+    stage.__name__ = f"{table.__name__}_csv"
+    return stage
+
+
+def json_of(table):
+    def stage(text):
+        _, keys, columns = table(text)
+        return lambda: cli._json_array(keys, columns, "  ")
+
+    stage.__name__ = f"{table.__name__}_json"
+    return stage
+
+
 def peak_bytes(stage, n: int) -> int:
     """The tracemalloc peak of one call of stage on the n-vertex graph,
     above the memory traced when the call starts; the inputs are built
@@ -116,21 +172,18 @@ def peak_bytes(stage, n: int) -> int:
         tracemalloc.stop()
 
 
-STAGES = (
-    parse,
-    listing,
-    atec_build_and_solve,
-    ec,
-    tc,
-    stats,
-    importance,
-    spearman,
-    kendall,
-    removal,
+WRITERS = tuple(
+    write(table)
+    for table in (sweep_table, centrality_table, triangle_table)
+    for write in (csv_of, json_of)
 )
+SPARSE = (
+    parse, listing, atec_build_and_solve, ec, tc, stats, importance, spearman, kendall, removal
+)
+STAGES = (*((stage, SIZES) for stage in (*SPARSE, *WRITERS)), (betweenness, BETWEENNESS_SIZES))
 
 
-@pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.__name__)
-def test_peak_memory_grows_linearly(stage):
-    small, large = (peak_bytes(stage, n) for n in SIZES)
+@pytest.mark.parametrize("stage, sizes", STAGES, ids=[stage.__name__ for stage, _ in STAGES])
+def test_peak_memory_grows_linearly(stage, sizes):
+    small, large = (peak_bytes(stage, n) for n in sizes)
     assert large / small <= BOUND, f"{stage.__name__}: {small} -> {large} bytes"
